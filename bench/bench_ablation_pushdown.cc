@@ -50,7 +50,6 @@ int Main(int argc, char** argv) {
     EngineOptions engine_options;
     engine_options.collect_outputs = false;
     if (sink.enabled()) {
-      engine_options.gather_statistics = true;
       engine_options.metrics = MetricsGranularity::kOperator;
     }
     Engine engine(std::move(plan).value(), engine_options);

@@ -78,7 +78,7 @@ Sample Replay(const ExecutablePlan& plan,
   options.durability.dir = dir.string();
   options.durability.fsync = fsync;
   options.durability.checkpoint_interval_ticks = checkpoint_interval;
-  if (report_out != nullptr) options.gather_statistics = true;
+  if (report_out != nullptr) options.metrics = MetricsGranularity::kOperator;
   Engine engine(plan.Clone(), options);
   Stopwatch watch;
   Sample sample;

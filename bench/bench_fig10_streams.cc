@@ -53,7 +53,6 @@ int Main(int argc, char** argv) {
   }
   EngineOptions engine_options;
   if (sink.enabled()) {
-    engine_options.gather_statistics = true;
     engine_options.metrics = MetricsGranularity::kOperator;
   }
   Engine engine(std::move(plan).value(), engine_options);

@@ -31,7 +31,6 @@ Sample Replay(const ExecutablePlan& plan, const EventBatch& stream,
   options.ingest_policy = policy;
   options.reorder_slack = slack;
   if (report_out != nullptr) {
-    options.gather_statistics = true;
     options.metrics = MetricsGranularity::kOperator;
   }
   Engine engine(plan.Clone(), options);

@@ -106,12 +106,7 @@ inline RunStats RunExperimentWithOptions(const CaesarModel& model,
   EventBatch warmup(stream.begin(), stream.begin() + split);
   EventBatch measured(stream.begin() + split, stream.end());
 
-  if (report_out != nullptr) {
-    options.gather_statistics = true;
-    if (options.metrics < MetricsGranularity::kOperator) {
-      options.metrics = MetricsGranularity::kOperator;
-    }
-  }
+  if (report_out != nullptr) options.metrics = MetricsGranularity::kOperator;
 
   RunStats best;
   for (int rep = 0; rep < repetitions; ++rep) {

@@ -83,11 +83,10 @@ int main() {
     return 1;
   }
 
-  // The observability knobs: metrics granularity, per-run statistics, and
-  // trace-span recording. kOperator implies the engine-level instruments
-  // plus per-operator batch/selectivity/work histograms.
+  // The observability knobs: metrics granularity and trace-span recording.
+  // kOperator implies the engine-level instruments plus the per-operator
+  // statistics rows with their batch/selectivity/work histograms.
   EngineOptions options;
-  options.gather_statistics = true;
   options.metrics = MetricsGranularity::kOperator;
   options.tracing = true;
   options.trace_path = "trace.json";  // written when the engine is destroyed

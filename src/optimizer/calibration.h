@@ -1,7 +1,7 @@
 // Cost-model calibration from gathered runtime statistics — the feedback
 // edge between the statistics gatherer and the optimizer in Fig. 8.
 //
-// A run with EngineOptions::gather_statistics produces a StatisticsReport;
+// A run with EngineOptions::metrics = kOperator produces a StatisticsReport;
 // calibration turns it into cost-model parameters (observed context
 // activity) and into per-operator observed selectivities/unit costs, which
 // replace the static defaults when estimating plan costs. This lets an

@@ -22,6 +22,15 @@ uint64_t HashCombine(uint64_t seed, uint64_t value) {
   return seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
+// Plan-order (query, op) rows of the per-operator statistics.
+size_t NumOperatorRows(const ExecutablePlan& plan) {
+  size_t rows = 0;
+  for (const auto* queries : {&plan.deriving, &plan.processing}) {
+    for (const CompiledQuery& query : *queries) rows += query.chain.ops.size();
+  }
+  return rows;
+}
+
 // Swaps interpreted pattern operators for compiled ones in place (1:1, so
 // every (query, op) row index — statistics, histograms, lint — is
 // unchanged). Runs on the template plan before any partition clones it,
@@ -193,22 +202,9 @@ struct Engine::QueryState {
     TransitionState transition;
   };
 
-  // Slim per-partition operator counters (one cache line for a whole
-  // chain). The per-invocation histograms live in the engine's per-worker
-  // shards (op_histograms_), not here: with hundreds of partitions the
-  // 1.6 KiB of buckets per operator would blow the cache on every
-  // transaction.
-  struct OpCounters {
-    uint64_t invocations = 0;
-    uint64_t input_events = 0;
-    uint64_t output_events = 0;
-    uint64_t work_units = 0;
-  };
-
   const CompiledQuery* spec = nullptr;  // shape reference (not executed)
   Gate gate;                            // precomputed from the spec
   OpChain chain;                        // private operator instances
-  std::vector<OpCounters> op_stats;     // per chain op (when gathering)
   // First row of this query's ops in the plan-order (query, op) row space
   // shared by op_histograms_ and CollectStatistics.
   size_t stats_row_base = 0;
@@ -349,12 +345,9 @@ Engine::Engine(ExecutablePlan plan, EngineOptions options)
     timeline_ = std::make_unique<Timeline>(options_.timeline_capacity);
   }
   if (options_.metrics >= MetricsGranularity::kOperator) {
-    size_t rows = 0;
-    for (const auto* queries : {&plan_.deriving, &plan_.processing}) {
-      for (const CompiledQuery& query : *queries) rows += query.chain.ops.size();
-    }
-    op_histograms_.assign(static_cast<size_t>(metric_shards),
-                          std::vector<OperatorHistograms>(rows));
+    op_histograms_.assign(
+        static_cast<size_t>(metric_shards),
+        std::vector<OperatorHistograms>(NumOperatorRows(plan_)));
   }
   if (options_.tracing) {
     trace_ = std::make_unique<TraceRecorder>();
@@ -398,13 +391,6 @@ Engine::PartitionState* Engine::GetOrCreatePartition(uint64_t key) {
       state.chain = spec.chain.Clone();
       state.stats_row_base = stats_row;
       stats_row += state.chain.ops.size();
-      // At kOperator granularity the per-worker histogram shards subsume
-      // the counters (invocations = count, events/work = sums), so the
-      // per-partition counter rows exist only on the counters-only path.
-      if (options_.gather_statistics &&
-          options_.metrics < MetricsGranularity::kOperator) {
-        state.op_stats.resize(state.chain.ops.size());
-      }
       for (const OpChain& guard : spec.guards) {
         QueryState::GuardInstance instance;
         instance.chain = guard.Clone();
@@ -913,8 +899,7 @@ void Engine::RunQuery(PartitionState* partition, QueryState* query,
   // Per-invocation distributions go into the executing worker's shard rows
   // (hoisted pointer: one base computation per chain, not per op). Work
   // units are the deterministic execution-time measure of the cost model —
-  // wall clock is tick-level telemetry. The slim counter rows are the
-  // counters-only (gather_statistics without kOperator) path.
+  // wall clock is tick-level telemetry.
   OperatorHistograms* hist_rows =
       op_histograms_.empty()
           ? nullptr
@@ -931,12 +916,6 @@ void Engine::RunQuery(PartitionState* partition, QueryState* query,
       hist.input_batch.Add(current->size());
       hist.output_batch.Add(pong.size());
       hist.work_per_invocation.Add(partition->ops_counter - work_before);
-    } else if (!query->op_stats.empty()) {
-      QueryState::OpCounters& op_stats = query->op_stats[o];
-      ++op_stats.invocations;
-      op_stats.input_events += current->size();
-      op_stats.output_events += pong.size();
-      op_stats.work_units += partition->ops_counter - work_before;
     }
     std::swap(ping, pong);
     current = &ping;
@@ -988,62 +967,42 @@ StatisticsReport Engine::CollectStatistics() const {
         quarantine_.count(static_cast<QuarantineReason>(r));
   }
   report.quarantine_by_partition = quarantine_.by_partition();
-  // Aggregate by (phase position, op index) across partitions; the plan's
-  // query order is identical in every partition. Rows exist whenever the
-  // per-operator path is active (counters-only or histogram granularity).
-  const bool per_op_rows = options_.gather_statistics ||
-                           options_.metrics >= MetricsGranularity::kOperator;
   int64_t suspended = 0;
   int64_t executed = 0;
-  bool first_partition = true;
   for (const auto& [key, partition] : partitions_) {
     suspended += partition->total_suspended;
     executed += partition->total_executed;
-    if (!per_op_rows) continue;
+  }
+  // Per-operator rows exist only at kOperator, named after the first
+  // partition's instances (the plan's query order is identical in every
+  // partition) and filled from the histogram shards. Every invocation adds
+  // once to each distribution, so count/sums are exactly the
+  // invocation/event/work totals; index-wise merge is commutative addition,
+  // so the totals depend on neither the shard count nor the
+  // partition-to-worker assignment.
+  if (!op_histograms_.empty() && !partitions_.empty()) {
+    const PartitionState& first = *partitions_.begin()->second;
+    std::vector<OperatorHistograms> merged = MergedOperatorHistograms();
     size_t row = 0;
-    for (const auto* states : {&partition->deriving, &partition->processing}) {
+    for (const auto* states : {&first.deriving, &first.processing}) {
       for (const QueryState& query : *states) {
-        for (size_t o = 0; o < query.chain.ops.size(); ++o) {
-          if (first_partition) {
-            QueryOperatorStats entry;
-            entry.query = query.spec->name;
-            entry.op_index = static_cast<int>(o);
-            entry.kind = query.chain.ops[o]->kind();
-            entry.description = query.chain.ops[o]->DebugString();
-            report.operators.push_back(std::move(entry));
-          }
-          if (!query.op_stats.empty()) {
-            OperatorStats& stats = report.operators[row].stats;
-            stats.invocations += query.op_stats[o].invocations;
-            stats.input_events += query.op_stats[o].input_events;
-            stats.output_events += query.op_stats[o].output_events;
-            stats.work_units += query.op_stats[o].work_units;
-          }
-          ++row;
+        for (size_t o = 0; o < query.chain.ops.size(); ++o, ++row) {
+          QueryOperatorStats entry;
+          entry.query = query.spec->name;
+          entry.op_index = static_cast<int>(o);
+          entry.kind = query.chain.ops[o]->kind();
+          entry.description = query.chain.ops[o]->DebugString();
+          OperatorStats& stats = entry.stats;
+          stats.input_batch = merged[row].input_batch;
+          stats.output_batch = merged[row].output_batch;
+          stats.work_per_invocation = merged[row].work_per_invocation;
+          stats.invocations = static_cast<uint64_t>(stats.input_batch.count());
+          stats.input_events = stats.input_batch.sum();
+          stats.output_events = stats.output_batch.sum();
+          stats.work_units = stats.work_per_invocation.sum();
+          report.operators.push_back(std::move(entry));
         }
       }
-    }
-    first_partition = false;
-  }
-  // Fold the per-worker histogram shards into the rows. Index-wise merge is
-  // commutative addition, so the totals do not depend on the shard count or
-  // the partition-to-worker assignment. The histograms subsume the counters
-  // at this granularity: every invocation added once to each distribution,
-  // so count/sums are exactly the invocation/event/work totals.
-  for (const std::vector<OperatorHistograms>& shard : op_histograms_) {
-    for (size_t r = 0; r < shard.size() && r < report.operators.size(); ++r) {
-      OperatorStats& stats = report.operators[r].stats;
-      stats.input_batch.Merge(shard[r].input_batch);
-      stats.output_batch.Merge(shard[r].output_batch);
-      stats.work_per_invocation.Merge(shard[r].work_per_invocation);
-    }
-  }
-  if (!op_histograms_.empty()) {
-    for (QueryOperatorStats& row : report.operators) {
-      row.stats.invocations = static_cast<uint64_t>(row.stats.input_batch.count());
-      row.stats.input_events = row.stats.input_batch.sum();
-      row.stats.output_events = row.stats.output_batch.sum();
-      row.stats.work_units = row.stats.work_per_invocation.sum();
     }
   }
   if (suspended + executed > 0) {
@@ -1051,6 +1010,20 @@ StatisticsReport Engine::CollectStatistics() const {
         static_cast<double>(executed) / static_cast<double>(suspended + executed);
   }
   return report;
+}
+
+std::vector<Engine::OperatorHistograms> Engine::MergedOperatorHistograms()
+    const {
+  std::vector<OperatorHistograms> merged(
+      op_histograms_.empty() ? 0 : op_histograms_.front().size());
+  for (const std::vector<OperatorHistograms>& shard : op_histograms_) {
+    for (size_t r = 0; r < merged.size(); ++r) {
+      merged[r].input_batch.Merge(shard[r].input_batch);
+      merged[r].output_batch.Merge(shard[r].output_batch);
+      merged[r].work_per_invocation.Merge(shard[r].work_per_invocation);
+    }
+  }
+  return merged;
 }
 
 void Engine::HandleWindowTransitions(PartitionState* partition,
@@ -1068,7 +1041,7 @@ void Engine::HandleWindowTransitions(PartitionState* partition,
 namespace {
 
 constexpr uint8_t kSnapshotVersion = 1;    // per-batch commit snapshot
-constexpr uint8_t kCheckpointVersion = 1;  // full checkpoint payload
+constexpr uint8_t kCheckpointVersion = 2;  // full checkpoint payload
 
 void SaveTransition(StateWriter* w, const TransitionState& t) {
   w->Bool(t.was_active);
@@ -1159,8 +1132,10 @@ std::string Engine::SerializeState() const {
   // Partition iteration is over a std::map (key ascending) and every nested
   // container either preserves insertion order or is explicitly ordered by
   // its saver, so identical engine state yields identical checkpoint bytes.
-  // Wall-clock telemetry (tick metrics, timeline, registry, histogram
-  // shards) is deliberately not persisted: it restarts after recovery.
+  // Wall-clock telemetry (tick metrics, timeline, registry) is deliberately
+  // not persisted: it restarts after recovery. The per-operator histograms
+  // count batch sizes and work units, so they are deterministic and
+  // persisted, merged across shards.
   StateWriter w;
   w.U8(kCheckpointVersion);
   w.Str(SerializeIngestSnapshot());
@@ -1185,15 +1160,16 @@ std::string Engine::SerializeState() const {
           query.private_contexts->Save(&w);
         }
         SaveChainOps(&w, query.chain);
-        w.Bool(!query.op_stats.empty());
-        for (const QueryState::OpCounters& op_stats : query.op_stats) {
-          w.U64(op_stats.invocations);
-          w.U64(op_stats.input_events);
-          w.U64(op_stats.output_events);
-          w.U64(op_stats.work_units);
-        }
       }
     }
+  }
+  // Per-operator statistics: zero rows below kOperator.
+  std::vector<OperatorHistograms> rows = MergedOperatorHistograms();
+  w.U32(static_cast<uint32_t>(rows.size()));
+  for (const OperatorHistograms& row : rows) {
+    row.input_batch.Save(&w);
+    row.output_batch.Save(&w);
+    row.work_per_invocation.Save(&w);
   }
   return w.Take();
 }
@@ -1245,19 +1221,25 @@ Status Engine::RestoreState(std::string_view payload) {
         }
         CAESAR_RETURN_IF_ERROR(
             LoadChainOps(&r, &query.chain, "checkpoint operator"));
-        bool has_op_stats = r.Bool();
-        if (r.ok() && has_op_stats != !query.op_stats.empty()) {
-          return Status::DataLoss(
-              "checkpoint statistics mode does not match the engine's");
-        }
-        for (QueryState::OpCounters& op_stats : query.op_stats) {
-          op_stats.invocations = r.U64();
-          op_stats.input_events = r.U64();
-          op_stats.output_events = r.U64();
-          op_stats.work_units = r.U64();
-        }
       }
     }
+  }
+  // The merged rows land in shard 0, so the next merge reproduces them. A
+  // checkpoint without rows leaves the histograms empty; rows restored
+  // into an engine below kOperator are dropped.
+  uint32_t n_rows = r.U32();  // 0 when truncated
+  if (n_rows != 0 && n_rows != NumOperatorRows(plan_)) {
+    return Status::DataLoss(
+        "checkpoint operator statistics do not match the plan");
+  }
+  std::vector<OperatorHistograms> rows(n_rows);
+  for (OperatorHistograms& row : rows) {
+    CAESAR_RETURN_IF_ERROR(row.input_batch.Load(&r));
+    CAESAR_RETURN_IF_ERROR(row.output_batch.Load(&r));
+    CAESAR_RETURN_IF_ERROR(row.work_per_invocation.Load(&r));
+  }
+  if (!op_histograms_.empty() && !rows.empty()) {
+    op_histograms_.front() = std::move(rows);
   }
   return r.CheckFullyConsumed("checkpoint payload");
 }

@@ -129,14 +129,11 @@ struct EngineOptions {
   // Collect derived events into the output batch passed to Run.
   bool collect_outputs = true;
 
-  // Record per-operator statistics (the Fig. 8 statistics gatherer); adds a
-  // small per-operator bookkeeping cost. Snapshot via CollectStatistics().
-  bool gather_statistics = false;
-
   // Telemetry granularity (runtime/observability.h): kEngine records tick
   // metrics, the activity timeline, and the sharded registry counters;
-  // kOperator additionally records per-operator histograms (implies the
-  // per-operator statistics path). kOff costs nothing on the hot path.
+  // kOperator additionally records the per-operator statistics (the Fig. 8
+  // statistics gatherer), which checkpoints carry across a crash. kOff
+  // costs nothing on the hot path. Snapshot via CollectStatistics().
   MetricsGranularity metrics = MetricsGranularity::kOff;
 
   // Record trace spans (scheduler ticks, ingest, GC, per-partition
@@ -330,8 +327,8 @@ class Engine {
   // not exist.
   const ContextBitVector* partition_contexts(uint64_t key) const;
 
-  // Snapshot of gathered per-operator statistics, aggregated across
-  // partitions (requires EngineOptions::gather_statistics).
+  // Snapshot of the gathered statistics; the per-operator rows, aggregated
+  // across partitions, require EngineOptions::metrics == kOperator.
   StatisticsReport CollectStatistics() const;
 
   // The persistent worker pool; null when num_threads == 1. Exposed for
@@ -414,7 +411,8 @@ class Engine {
   std::string SerializeIngestSnapshot() const;
   Status RestoreIngestSnapshot(std::string_view snapshot);
   // The full checkpoint payload: the commit snapshot plus every
-  // partition's context vector, transition bookkeeping, and operator state.
+  // partition's context vector, transition bookkeeping, and operator state,
+  // then (at kOperator) the merged per-operator histograms.
   std::string SerializeState() const;
   Status RestoreState(std::string_view payload);
   // Applies a recovery scan to this freshly constructed engine: restore
@@ -495,6 +493,9 @@ class Engine {
     Pow2Histogram work_per_invocation;
   };
   std::vector<std::vector<OperatorHistograms>> op_histograms_;
+  // op_histograms_ merged across shards, one entry per row (empty below
+  // kOperator).
+  std::vector<OperatorHistograms> MergedOperatorHistograms() const;
   TickMetrics tick_metrics_;
   std::unique_ptr<Timeline> timeline_;
   std::unique_ptr<TraceRecorder> trace_;

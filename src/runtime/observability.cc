@@ -6,7 +6,9 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.h"
 #include "common/logging.h"
+#include "durability/serde.h"
 #include "runtime/statistics.h"
 
 namespace caesar {
@@ -68,6 +70,33 @@ std::string Pow2Histogram::ToString() const {
     }
   }
   return os.str();
+}
+
+void Pow2Histogram::Save(StateWriter* w) const {
+  int used = kNumBuckets;
+  while (used > 0 && buckets_[used - 1] == 0) --used;
+  w->U64(sum_);
+  w->U64(max_);
+  w->U8(static_cast<uint8_t>(used));
+  for (int i = 0; i < used; ++i) w->I64(buckets_[i]);
+}
+
+Status Pow2Histogram::Load(StateReader* r) {
+  *this = Pow2Histogram();
+  sum_ = r->U64();
+  max_ = r->U64();
+  int used = r->U8();
+  if (!r->ok() || used > kNumBuckets) {
+    return Status::DataLoss("corrupt histogram state");
+  }
+  for (int i = 0; i < used; ++i) {
+    buckets_[i] = r->I64();
+    if (buckets_[i] < 0 ||
+        __builtin_add_overflow(count_, buckets_[i], &count_)) {
+      return Status::DataLoss("corrupt histogram state");
+    }
+  }
+  return r->ok() ? Status::Ok() : Status::DataLoss("truncated histogram state");
 }
 
 ShardedCounter::ShardedCounter(int num_shards)
@@ -234,44 +263,6 @@ std::vector<TraceRecorder::Span> TraceRecorder::Snapshot() const {
   return spans_;
 }
 
-namespace {
-
-// RFC 8259 string escaping shared by the trace and statistics exporters.
-void AppendJsonString(std::ostream& os, const char* s) {
-  os << '"';
-  for (const char* p = s; *p != '\0'; ++p) {
-    unsigned char c = static_cast<unsigned char>(*p);
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      default:
-        if (c < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          os << buffer;
-        } else {
-          os << *p;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 std::string TraceRecorder::ToJson() const {
   std::vector<Span> spans = Snapshot();
   std::ostringstream os;
@@ -280,9 +271,8 @@ std::string TraceRecorder::ToJson() const {
   for (const Span& span : spans) {
     if (!first) os << ",";
     first = false;
-    os << "{\"name\":";
-    AppendJsonString(os, span.name);
-    os << ",\"cat\":\"caesar\",\"ph\":\"X\",\"ts\":" << span.start_us
+    os << "{\"name\":" << JsonQuote(span.name)
+       << ",\"cat\":\"caesar\",\"ph\":\"X\",\"ts\":" << span.start_us
        << ",\"dur\":" << span.duration_us << ",\"pid\":0,\"tid\":" << span.tid
        << "}";
   }
@@ -342,7 +332,7 @@ class JsonWriter {
 
   void Key(const char* name) {
     Punctuate("");
-    AppendString(name);
+    os_ << JsonQuote(name);
     os_ << ":";
   }
 
@@ -366,12 +356,12 @@ class JsonWriter {
   }
   void Value(const std::string& v) {
     Punctuate("");
-    AppendString(v.c_str());
+    os_ << JsonQuote(v);
     pending_comma_ = true;
   }
   void Value(const char* v) {
     Punctuate("");
-    AppendString(v);
+    os_ << JsonQuote(v);
     pending_comma_ = true;
   }
   void Null() {
@@ -392,8 +382,6 @@ class JsonWriter {
     os_ << open;
     pending_comma_ = false;
   }
-
-  void AppendString(const char* s) { AppendJsonString(os_, s); }
 
   std::ostringstream os_;
   bool pending_comma_ = false;

@@ -51,13 +51,15 @@
 
 namespace caesar {
 
+class StateReader;
+class StateWriter;
 struct StatisticsReport;
 
 // How much runtime telemetry the engine records.
 enum class MetricsGranularity : int8_t {
   kOff = 0,   // no telemetry beyond the plain RunStats counters
   kEngine,    // tick metrics, timeline, registry counters/histograms
-  kOperator,  // kEngine plus per-operator histograms in OperatorStats
+  kOperator,  // kEngine plus the per-operator rows (totals + histograms)
 };
 
 // Human-readable granularity name ("off", "engine", "operator").
@@ -120,6 +122,11 @@ class Pow2Histogram {
   // Sparse one-liner: "count=N mean=M max=X [0]=c0 [1,2)=c1 ..." with empty
   // buckets omitted.
   std::string ToString() const;
+
+  // Checkpoint serialization (durability/serde.h): sum, max and the buckets
+  // up to the highest non-empty one; the count is their total.
+  void Save(StateWriter* w) const;
+  Status Load(StateReader* r);
 
  private:
   // Header fields before the bucket array: small values (the common case —

@@ -1,12 +1,12 @@
 // Statistics gatherer (the optimization-layer component of Fig. 8).
 //
-// When enabled, the engine records per-operator runtime statistics —
-// invocations, input/output event counts, work units, and (at
-// MetricsGranularity::kOperator) per-invocation power-of-2 histograms —
-// aggregated across all partitions. The observed selectivities and the
-// observed context activity calibrate the cost model
-// (optimizer/cost_model.h), closing the paper's loop between the
-// statistics gatherer and the optimizer.
+// At MetricsGranularity::kOperator — the one switch for it — the engine
+// records per-invocation power-of-2 histograms of every operator and
+// reports them aggregated across all partitions, together with their
+// totals: invocations, input/output event counts, work units. The rows
+// survive checkpoints. The observed selectivities and the observed context
+// activity calibrate the cost model (optimizer/cost_model.h), closing the
+// paper's loop between the statistics gatherer and the optimizer.
 
 #ifndef CAESAR_RUNTIME_STATISTICS_H_
 #define CAESAR_RUNTIME_STATISTICS_H_

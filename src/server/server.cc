@@ -78,11 +78,6 @@ Status ParseSessionConfig(const JsonValue* opts,
         return Status::InvalidArgument(
             "metrics must be \"off\", \"engine\", or \"operator\"");
       }
-    } else if (key == "gather_statistics") {
-      if (!value.is_bool()) {
-        return Status::InvalidArgument("gather_statistics must be a bool");
-      }
-      out->gather_statistics = value.bool_value();
     } else if (key == "max_pending_events") {
       if (!value.is_int() || value.int_value() < 1 ||
           static_cast<size_t>(value.int_value()) >

@@ -30,7 +30,6 @@ Result<std::unique_ptr<TenantSession>> TenantSession::Create(
   engine_options.ingest_policy = config.ingest_policy;
   engine_options.reorder_slack = config.reorder_slack;
   engine_options.metrics = config.metrics;
-  engine_options.gather_statistics = config.gather_statistics;
   // The strict analyzer is the admission gate: error-severity lint
   // diagnostics reject registration before any engine state exists.
   engine_options.analysis = AnalysisMode::kStrict;

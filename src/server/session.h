@@ -69,8 +69,7 @@ struct SessionConfig {
   PatternEngine pattern_engine = PatternEngine::kInterpreted;
   IngestPolicy ingest_policy = IngestPolicy::kStrict;
   Timestamp reorder_slack = 0;
-  MetricsGranularity metrics = MetricsGranularity::kEngine;
-  bool gather_statistics = true;
+  MetricsGranularity metrics = MetricsGranularity::kOperator;
   PlanOptions plan;
 
   // Backpressure bound: an ingest that would push pending_ beyond this

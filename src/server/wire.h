@@ -143,9 +143,6 @@ class JsonValue {
 // carry a byte offset.
 Result<JsonValue> ParseJson(std::string_view text);
 
-// Escapes `s` as a JSON string literal including the surrounding quotes.
-std::string JsonQuote(std::string_view s);
-
 // ---------------------------------------------------------------------------
 // Framing
 // ---------------------------------------------------------------------------

@@ -117,8 +117,7 @@ struct Reference {
     options.num_threads = threads;
     options.pattern_engine = pattern;
     options.ingest_policy = policy;
-    options.metrics = MetricsGranularity::kEngine;
-    options.gather_statistics = true;
+    options.metrics = MetricsGranularity::kOperator;
     options.analysis = AnalysisMode::kStrict;
     auto engine = Engine::Create(model.value(), PlanOptions{}, options);
     EXPECT_TRUE(engine.ok()) << engine.status();
@@ -479,12 +478,15 @@ TEST(CaesardProtocol, LifecycleAndCodedErrors) {
   EXPECT_EQ(ErrorCode(client.Call(RegisterReq("t1", "interpreted")).value()),
             "I422");
   EXPECT_EQ(ErrorCode(client.Call(Req("poll", "ghost")).value()), "I421");
-  JsonValue bad_option = Req("register", "t2");
-  bad_option.Set("model", JsonValue::String(kModel));
-  JsonValue opts = JsonValue::Object();
-  opts.Set("no_such_knob", JsonValue::Bool(true));
-  bad_option.Set("options", std::move(opts));
-  EXPECT_EQ(ErrorCode(client.Call(bad_option).value()), "I423");
+  // metrics = "operator" is the only statistics switch.
+  for (const char* knob : {"no_such_knob", "gather_statistics"}) {
+    JsonValue bad_option = Req("register", "t2");
+    bad_option.Set("model", JsonValue::String(kModel));
+    JsonValue opts = JsonValue::Object();
+    opts.Set(knob, JsonValue::Bool(true));
+    bad_option.Set("options", std::move(opts));
+    EXPECT_EQ(ErrorCode(client.Call(bad_option).value()), "I423") << knob;
+  }
 
   // Teardown frees the name for re-registration.
   EXPECT_TRUE(IsOk(client.Call(Req("teardown", "t1")).value()));

@@ -58,7 +58,7 @@ TEST_F(CalibrationTest, CalibratedParamsReflectObservedActivity) {
   ExecutablePlan plan_copy = plan.value().Clone();
 
   EngineOptions options;
-  options.gather_statistics = true;
+  options.metrics = MetricsGranularity::kOperator;
   Engine engine(std::move(plan).value(), options);
   // Mostly-normal stream: the high-gated queries are usually suspended.
   EventBatch input;
@@ -96,7 +96,7 @@ QUERY narrow DERIVE A(r.value AS value) PATTERN Reading r WHERE r.value = 1;
   ExecutablePlan plan_copy = plan.value().Clone();
 
   EngineOptions options;
-  options.gather_statistics = true;
+  options.metrics = MetricsGranularity::kOperator;
   Engine engine(std::move(plan).value(), options);
   EventBatch input;
   for (Timestamp t = 0; t < 100; ++t) {
@@ -127,7 +127,7 @@ TEST_F(CalibrationTest, OperatorsThatNeverRanKeepStaticEstimates) {
   ExecutablePlan plan_copy = plan.value().Clone();
 
   EngineOptions options;
-  options.gather_statistics = true;
+  options.metrics = MetricsGranularity::kOperator;
   Engine engine(std::move(plan).value(), options);
   // Values never exceed 10, so the `high` context never activates and the
   // high-gated `alert` query stays suspended for the whole run: none of its
@@ -218,7 +218,7 @@ TEST_F(CalibrationTest, DormantQueriesStayUnobservedUnderCompiledEngine) {
   CAESAR_CHECK_OK(plan.status());
 
   EngineOptions options;
-  options.gather_statistics = true;
+  options.metrics = MetricsGranularity::kOperator;
   options.pattern_engine = PatternEngine::kCompiled;
   Engine engine(std::move(plan).value(), options);
   EventBatch input;

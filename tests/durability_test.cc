@@ -573,60 +573,61 @@ TEST(EngineDurabilityTest, OffModeTouchesNothingAndMatchesOnMode) {
   EXPECT_NE(on_prom.find("caesar_wal_records_total"), std::string::npos);
 }
 
+// The deterministic "operators" export block: per-operator totals and
+// their histograms. It is the last block of a deterministic StatisticsToJson.
+std::string OperatorsJson(const Engine& engine) {
+  ExportOptions deterministic;
+  deterministic.deterministic = true;
+  std::string json =
+      StatisticsToJson(engine.CollectStatistics(), deterministic);
+  size_t at = json.find("\"operators\":");
+  EXPECT_NE(at, std::string::npos);
+  return at == std::string::npos ? json : json.substr(at);
+}
+
 TEST(EngineDurabilityTest, CheckpointRestoresOperatorStatistics) {
-  // Per-operator counters (gather_statistics) are part of the checkpoint:
-  // after a crash the recovered report matches the uninterrupted one row
-  // for row.
+  // The merged per-operator histograms (metrics = kOperator) are part of
+  // the checkpoint: after a crash the recovered report matches the
+  // uninterrupted one row for row, histograms included, whatever the
+  // worker count.
   auto w = MakeWorkload();
   std::vector<EventBatch> batches = SplitByTicks(w->stream, 20);
-  EngineOptions base;
-  base.gather_statistics = true;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EngineOptions base;
+    base.metrics = MetricsGranularity::kOperator;
+    base.num_threads = threads;
 
-  Engine reference(w->plan.Clone(), base);
-  RunBatches(&reference, batches, 0, w->registry);
-  std::string expected;
-  for (const QueryOperatorStats& row :
-       reference.CollectStatistics().operators) {
-    expected += row.query + "#" + std::to_string(row.op_index) + ":" +
-                std::to_string(row.stats.invocations) + "/" +
-                std::to_string(row.stats.input_events) + "/" +
-                std::to_string(row.stats.output_events) + "/" +
-                std::to_string(row.stats.work_units) + "\n";
-  }
+    Engine reference(w->plan.Clone(), base);
+    RunBatches(&reference, batches, 0, w->registry);
+    std::string expected = OperatorsJson(reference);
+    ASSERT_NE(expected.find("\"work_per_invocation\""), std::string::npos);
 
-  std::string dir = ScratchDir("op_stats");
-  CrashPointInjector injector("wal_append", 40);
-  EngineOptions crash = base;
-  crash.durability.mode = DurabilityMode::kWalCheckpoint;
-  crash.durability.dir = dir;
-  crash.durability.checkpoint_interval_ticks = 16;
-  crash.durability.crash_hook = injector.Hook();
-  {
-    Engine victim(w->plan.Clone(), crash);
-    for (const EventBatch& batch : batches) {
-      if (!victim.Run(batch, nullptr).ok()) break;
+    std::string dir = ScratchDir("op_stats");
+    CrashPointInjector injector("wal_append", 40);
+    EngineOptions crash = base;
+    crash.durability.mode = DurabilityMode::kWalCheckpoint;
+    crash.durability.dir = dir;
+    crash.durability.checkpoint_interval_ticks = 16;
+    crash.durability.crash_hook = injector.Hook();
+    {
+      Engine victim(w->plan.Clone(), crash);
+      for (const EventBatch& batch : batches) {
+        if (!victim.Run(batch, nullptr).ok()) break;
+      }
     }
-  }
-  ASSERT_TRUE(injector.fired());
+    ASSERT_TRUE(injector.fired());
 
-  EngineOptions recover = base;
-  recover.durability.mode = DurabilityMode::kWalCheckpoint;
-  recover.durability.dir = dir;
-  recover.durability.checkpoint_interval_ticks = 16;
-  auto recovered = Engine::Recover(w->plan.Clone(), recover);
-  ASSERT_TRUE(recovered.ok()) << recovered.status();
-  RunBatches(recovered.value().get(), batches,
-             recovered.value()->durable_batch_seq(), w->registry);
-  std::string actual;
-  for (const QueryOperatorStats& row :
-       recovered.value()->CollectStatistics().operators) {
-    actual += row.query + "#" + std::to_string(row.op_index) + ":" +
-              std::to_string(row.stats.invocations) + "/" +
-              std::to_string(row.stats.input_events) + "/" +
-              std::to_string(row.stats.output_events) + "/" +
-              std::to_string(row.stats.work_units) + "\n";
+    EngineOptions recover = base;
+    recover.durability.mode = DurabilityMode::kWalCheckpoint;
+    recover.durability.dir = dir;
+    recover.durability.checkpoint_interval_ticks = 16;
+    auto recovered = Engine::Recover(w->plan.Clone(), recover);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    RunBatches(recovered.value().get(), batches,
+               recovered.value()->durable_batch_seq(), w->registry);
+    EXPECT_EQ(OperatorsJson(*recovered.value()), expected);
   }
-  EXPECT_EQ(actual, expected);
 }
 
 TEST(EngineDurabilityTest, RecoveryReportsDiagnosticsForRottenArtifacts) {

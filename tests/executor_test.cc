@@ -342,7 +342,7 @@ TEST_F(ExecutorEngineTest, EngineHonorsSchedulerOption) {
 TEST_F(ExecutorEngineTest, StatisticsReportCarriesExecutorSnapshot) {
   EngineOptions options;
   options.num_threads = 3;
-  options.gather_statistics = true;
+  options.metrics = MetricsGranularity::kOperator;
   Engine engine(Plan(), options);
   engine.Run(Stream(0, 20)).value();
   StatisticsReport report = engine.CollectStatistics();

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "durability/serde.h"
 #include "event/event.h"
 #include "event/schema.h"
 #include "query/parser.h"
@@ -112,6 +113,33 @@ TEST(Pow2HistogramTest, ToStringIsSparse) {
   EXPECT_NE(s.find("[2,4)=1"), std::string::npos) << s;
   // Empty buckets stay out of the rendering.
   EXPECT_EQ(s.find("[4,8)"), std::string::npos) << s;
+}
+
+TEST(Pow2HistogramTest, SaveLoadRoundTripsAndRejectsCorruptBytes) {
+  Pow2Histogram h;
+  for (uint64_t v : {0, 1, 5, 5, 300}) h.Add(v);
+  StateWriter w;
+  h.Save(&w);
+  std::string bytes = w.Take();
+
+  Pow2Histogram loaded;
+  loaded.Add(7);  // Load replaces, not merges
+  StateReader r(bytes);
+  ASSERT_TRUE(loaded.Load(&r).ok());
+  EXPECT_TRUE(r.CheckFullyConsumed("histogram").ok());
+  EXPECT_EQ(loaded.ToString(), h.ToString());
+  EXPECT_EQ(loaded.count(), 5);
+
+  StateReader truncated(std::string_view(bytes).substr(0, bytes.size() - 1));
+  EXPECT_FALSE(Pow2Histogram().Load(&truncated).ok());
+  std::string too_many = bytes;
+  too_many[16] = static_cast<char>(Pow2Histogram::kNumBuckets + 1);
+  StateReader wide(too_many);
+  EXPECT_FALSE(Pow2Histogram().Load(&wide).ok());
+  std::string negative = bytes;
+  negative[17 + 7] = static_cast<char>(0x80);  // bucket 0's sign byte
+  StateReader signed_bucket(negative);
+  EXPECT_FALSE(Pow2Histogram().Load(&signed_bucket).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -319,7 +347,6 @@ StatisticsReport RunFixture(int num_threads, const std::string& tenant = "") {
 
   EngineOptions options;
   options.num_threads = num_threads;
-  options.gather_statistics = true;
   options.metrics = MetricsGranularity::kOperator;
   options.tenant = tenant;
   Engine engine(std::move(plan).value(), options);

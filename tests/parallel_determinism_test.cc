@@ -2,7 +2,7 @@
 // Linear Road, PAMAP) the sharded executor must produce a byte-identical
 // derived-event sequence — same events, same order — and equal semantic
 // RunStats counters for num_threads in {2, 4, 8} vs the serial engine,
-// with and without statistics gathering, under both scheduler modes
+// with metrics off and at kOperator, under both scheduler modes
 // (pinned and work-stealing; the skewed-workload test drives the stealing
 // path explicitly, and CI additionally re-runs the whole suite with
 // CAESAR_SCHEDULER=stealing under TSan). Runs under TSan in CI.
@@ -51,7 +51,7 @@ std::string StripExecutorLines(const std::string& report) {
 
 RunResult RunWith(const ExecutablePlan& plan, const EventBatch& stream,
                   const TypeRegistry& registry, int num_threads,
-                  bool gather_statistics,
+                  bool operator_metrics,
                   PatternEngine engine_kind = PatternEngine::kInterpreted,
                   // Follow the process default (CAESAR_SCHEDULER) so the CI
                   // stealing leg drives the whole suite through the
@@ -60,10 +60,9 @@ RunResult RunWith(const ExecutablePlan& plan, const EventBatch& stream,
                   SchedulerMode scheduler = DefaultSchedulerMode()) {
   EngineOptions options;
   options.num_threads = num_threads;
-  options.gather_statistics = gather_statistics;
   options.pattern_engine = engine_kind;
   options.scheduler = scheduler;
-  if (gather_statistics) options.metrics = MetricsGranularity::kOperator;
+  if (operator_metrics) options.metrics = MetricsGranularity::kOperator;
   Engine engine(plan.Clone(), options);
   EventBatch outputs;
   RunResult result;
@@ -73,7 +72,7 @@ RunResult RunWith(const ExecutablePlan& plan, const EventBatch& stream,
     os << event->time() << " " << event->ToString(registry) << "\n";
   }
   result.derived = os.str();
-  if (gather_statistics) {
+  if (operator_metrics) {
     StatisticsReport report = engine.CollectStatistics();
     result.statistics = StripExecutorLines(report.ToString());
     ExportOptions export_options;
@@ -103,17 +102,18 @@ void ExpectParallelMatchesSerial(
     const TypeRegistry& registry,
     PatternEngine engine_kind = PatternEngine::kInterpreted) {
   ASSERT_FALSE(stream.empty());
-  for (bool gather : {false, true}) {
-    RunResult serial = RunWith(plan, stream, registry, 1, gather, engine_kind);
+  for (bool op_metrics : {false, true}) {
+    RunResult serial =
+        RunWith(plan, stream, registry, 1, op_metrics, engine_kind);
     // A meaningful check needs actual derived traffic.
     EXPECT_GT(serial.stats.derived_events, 0);
     EXPECT_GT(serial.stats.partitions, 1);
     for (int num_threads : {2, 4, 8}) {
       SCOPED_TRACE("threads=" + std::to_string(num_threads) +
-                   " gather=" + std::to_string(gather) + " engine=" +
+                   " op_metrics=" + std::to_string(op_metrics) + " engine=" +
                    PatternEngineName(engine_kind));
       RunResult parallel =
-          RunWith(plan, stream, registry, num_threads, gather, engine_kind);
+          RunWith(plan, stream, registry, num_threads, op_metrics, engine_kind);
       EXPECT_EQ(serial.derived, parallel.derived);
       ExpectEqualCounters(serial.stats, parallel.stats, num_threads);
       EXPECT_EQ(serial.statistics, parallel.statistics);
@@ -293,17 +293,18 @@ TEST(ParallelDeterminismTest, SkewedWorkloadBothSchedulers) {
   CAESAR_CHECK_OK(model.status());
   ExecutablePlan plan = Optimize(model.value());
 
-  for (bool gather : {false, true}) {
-    RunResult serial = RunWith(plan, stream, registry, 1, gather);
+  for (bool op_metrics : {false, true}) {
+    RunResult serial = RunWith(plan, stream, registry, 1, op_metrics);
     EXPECT_GT(serial.stats.derived_events, 0);
     for (int num_threads : {2, 4, 8}) {
       for (SchedulerMode mode :
            {SchedulerMode::kPinned, SchedulerMode::kStealing}) {
-        SCOPED_TRACE("threads=" + std::to_string(num_threads) + " gather=" +
-                     std::to_string(gather) + " scheduler=" +
+        SCOPED_TRACE("threads=" + std::to_string(num_threads) +
+                     " op_metrics=" + std::to_string(op_metrics) +
+                     " scheduler=" +
                      SchedulerModeName(mode));
         RunResult parallel =
-            RunWith(plan, stream, registry, num_threads, gather,
+            RunWith(plan, stream, registry, num_threads, op_metrics,
                     PatternEngine::kInterpreted, mode);
         EXPECT_EQ(serial.derived, parallel.derived);
         ExpectEqualCounters(serial.stats, parallel.stats, num_threads);
@@ -394,7 +395,7 @@ TEST(ParallelDeterminismTest, DurabilityKeepsExportsByteIdentical) {
     std::filesystem::remove_all(dir);
     EngineOptions options;
     options.num_threads = num_threads;
-    options.gather_statistics = true;
+    options.metrics = MetricsGranularity::kOperator;
     options.durability.mode = DurabilityMode::kWalCheckpoint;
     options.durability.dir = dir.string();
     options.durability.checkpoint_interval_ticks = 64;

@@ -56,7 +56,7 @@ TEST_F(RuntimeTest, StatisticsGathererRecordsPerOperatorCounts) {
   auto plan = TranslateModel(model, PlanOptions());
   ASSERT_TRUE(plan.ok());
   EngineOptions options;
-  options.gather_statistics = true;
+  options.metrics = MetricsGranularity::kOperator;
   Engine engine(std::move(plan).value(), options);
   EventBatch input;
   for (Timestamp t = 0; t < 100; ++t) {
@@ -104,7 +104,7 @@ TEST_F(RuntimeTest, ObservedActivityTracksWindowCoverage) {
   auto plan = TranslateModel(model, PlanOptions());
   ASSERT_TRUE(plan.ok());
   EngineOptions options;
-  options.gather_statistics = true;
+  options.metrics = MetricsGranularity::kOperator;
   Engine engine(std::move(plan).value(), options);
   EventBatch input;
   for (Timestamp t = 0; t < 50; ++t) input.push_back(Reading(1, 3, t));
@@ -129,7 +129,7 @@ CONTEXT only;
   auto plan = TranslateModel(model, PlanOptions());
   ASSERT_TRUE(plan.ok());
   EngineOptions options;
-  options.gather_statistics = true;
+  options.metrics = MetricsGranularity::kOperator;
   options.gc_interval = 10;
   options.gc_horizon = 50;
   Engine engine(std::move(plan).value(), options);
