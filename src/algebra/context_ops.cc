@@ -75,7 +75,7 @@ void ContextWindowOp::Process(const EventBatch& input, EventBatch* output,
   // constant"), so it contributes no work units — the premise of Theorem 1
   // is that the context window costs the same wherever it sits in the plan.
   const ContextBitVector& contexts = *ctx->contexts;
-  if (!contexts.AnyActive(mask_)) return;
+  if (Suspends(contexts)) return;
   for (const EventPtr& event : input) {
     for (size_t i = 0; i < context_ids_.size(); ++i) {
       if (contexts.IsActive(context_ids_[i]) &&

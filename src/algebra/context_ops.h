@@ -83,6 +83,14 @@ class ContextWindowOp : public Operator {
   // Bit mask over context ids (for the router's AnyActive probe).
   uint64_t context_mask() const { return mask_; }
 
+  // True when none of the listed contexts is active: the window passes
+  // nothing, whatever the input. Process tests this first; the router
+  // tests it before running the chain at all, so a suspended query costs
+  // one bit-vector probe and no batch.
+  bool Suspends(const ContextBitVector& contexts) const {
+    return !contexts.AnyActive(mask_);
+  }
+
  private:
   std::vector<int> context_ids_;
   std::vector<int> anchors_;  // parallel to context_ids_

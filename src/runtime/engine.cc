@@ -228,6 +228,18 @@ struct Engine::PartitionState {
   int64_t total_executed = 0;
   int64_t transactions = 0;
   EventBatch pool;  // scratch, reused across transactions
+
+  // Counts one chain execution: suspended = skipped at its bottom context
+  // window with events in the pool.
+  void CountChain(bool suspended) {
+    if (suspended) {
+      ++suspended_chains;
+      ++total_suspended;
+    } else {
+      ++executed_chains;
+      ++total_executed;
+    }
+  }
 };
 
 Status EngineOptions::Validate() const {
@@ -329,6 +341,8 @@ Engine::Engine(ExecutablePlan plan, EngineOptions options)
   // num_threads); serial mode records into shard 0.
   const int metric_shards =
       executor_ != nullptr ? executor_->num_workers() : 1;
+  chain_scratch_.resize(static_cast<size_t>(metric_shards));
+  derived_type_counts_.assign(plan_.registry->num_types(), 0);
   if (options_.metrics >= MetricsGranularity::kEngine) {
     // One shard per worker; serial mode records into shard 0.
     registry_ = std::make_unique<MetricsRegistry>(metric_shards);
@@ -591,6 +605,8 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
   }
   const ExecutorMetrics exec_before =
       executor_ != nullptr ? executor_->metrics() : ExecutorMetrics{};
+  // A Run that failed part-way leaves stale counts behind.
+  std::fill(derived_type_counts_.begin(), derived_type_counts_.end(), 0);
 
   size_t i = 0;
   const double tick_wall = options_.seconds_per_tick / options_.accel;
@@ -608,29 +624,40 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
     }
 
     // Distribute this time stamp's events to partitions (the event
-    // distributor + event queues of Fig. 8). std::map gives deterministic
-    // partition order.
-    std::map<uint64_t, EventBatch> by_partition;
+    // distributor + event queues of Fig. 8): sorting (key, index) pairs
+    // orders partitions by key and keeps each partition's events in arrival
+    // order, which makes the merge below deterministic.
+    keyed_scratch_.clear();
     for (size_t k = i; k < j; ++k) {
-      by_partition[PartitionKeyOf(*input[k])].push_back(input[k]);
+      keyed_scratch_.emplace_back(PartitionKeyOf(*input[k]), k);
     }
+    std::sort(keyed_scratch_.begin(), keyed_scratch_.end());
+    tick_events_.clear();
+    tick_slots_.clear();
+    shard_scratch_.clear();
+    weight_scratch_.clear();
+    for (const auto& [key, index] : keyed_scratch_) {
+      if (shard_scratch_.empty() || shard_scratch_.back() != key) {
+        tick_slots_.push_back(TickSlot{nullptr, tick_events_.size()});
+        shard_scratch_.push_back(key);
+        // Task weight = the transaction's event count, so the pool's
+        // imbalance metrics see work skew, not just task-count skew (one
+        // partition is one task — a hot partition would be invisible
+        // otherwise).
+        weight_scratch_.push_back(0);
+      }
+      tick_events_.push_back(input[index]);
+      ++weight_scratch_.back();
+    }
+    const size_t num_slots = tick_slots_.size();
+    if (derived_slots_.size() < num_slots) derived_slots_.resize(num_slots);
 
     // Execute one transaction per partition; measure processing cost.
     // Partitions are created here, on the scheduler thread, so workers only
     // ever touch existing partition state.
     Stopwatch watch;
-    std::vector<std::pair<PartitionState*, const EventBatch*>> work;
-    work.reserve(by_partition.size());
-    shard_scratch_.clear();
-    weight_scratch_.clear();
-    for (auto& [key, events] : by_partition) {
-      work.emplace_back(GetOrCreatePartition(key), &events);
-      shard_scratch_.push_back(key);
-      // Task weight = the transaction's event count, so the pool's
-      // imbalance metrics see work skew, not just task-count skew (one
-      // partition is one task — a hot partition would be invisible
-      // otherwise).
-      weight_scratch_.push_back(static_cast<uint64_t>(events.size()));
+    for (size_t w = 0; w < num_slots; ++w) {
+      tick_slots_[w].partition = GetOrCreatePartition(shard_scratch_[w]);
     }
     // Pre-dispatch telemetry baselines: context-vector versions (their
     // per-tick delta = context switches) and cumulative chain counts.
@@ -638,36 +665,38 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
     int64_t suspended_before = 0;
     if (tick_telemetry) {
       context_version_scratch_.clear();
-      for (auto& [partition, events] : work) {
-        context_version_scratch_.push_back(partition->contexts->version());
-        executed_before += partition->total_executed;
-        suspended_before += partition->total_suspended;
+      for (const TickSlot& slot : tick_slots_) {
+        context_version_scratch_.push_back(slot.partition->contexts->version());
+        executed_before += slot.partition->total_executed;
+        suspended_before += slot.partition->total_suspended;
       }
     }
-    std::vector<EventBatch> derived(work.size());
+    // Captures two words only, so wrapping it in the pool's std::function
+    // does not allocate.
+    auto transaction = [this, t](size_t w, int worker) {
+      // Installs the trace sink on pool workers (the scheduler thread has
+      // it already; re-installing is two thread-local writes).
+      TraceScope worker_trace(trace_.get());
+      CAESAR_TRACE_SPAN("transaction");
+      const TickSlot& slot = tick_slots_[w];
+      ProcessTransaction(slot.partition, t, tick_events_.data() + slot.first,
+                         weight_scratch_[w], &derived_slots_[w], worker);
+    };
+    double barrier_wait = 0.0;
     {
       CAESAR_TRACE_SPAN("tick");
       if (executor_ == nullptr) {
-        for (size_t w = 0; w < work.size(); ++w) {
-          CAESAR_TRACE_SPAN("transaction");
-          ProcessTransaction(work[w].first, t, *work[w].second, &derived[w],
-                             /*worker=*/0);
-        }
+        for (size_t w = 0; w < num_slots; ++w) transaction(w, /*worker=*/0);
       } else {
         // Every tick goes through the pool. Exactly one worker executes a
         // partition's transaction per tick (pinned: always its list owner;
         // stealing: whoever claims it), so partition state is
-        // single-writer without locks, and metrics record into the
-        // executing worker's shard to keep that single-writer rule.
-        executor_->ExecuteTick(work.size(), shard_scratch_.data(),
-                               weight_scratch_.data(),
-                               [&](size_t w, int worker) {
-                                 TraceScope worker_trace(trace_.get());
-                                 CAESAR_TRACE_SPAN("transaction");
-                                 ProcessTransaction(work[w].first, t,
-                                                    *work[w].second,
-                                                    &derived[w], worker);
-                               });
+        // single-writer without locks, and metrics and chain scratch are
+        // keyed by the executing worker to keep that single-writer rule.
+        Stopwatch barrier_watch;
+        executor_->ExecuteTick(num_slots, shard_scratch_.data(),
+                               weight_scratch_.data(), transaction);
+        barrier_wait = barrier_watch.ElapsedSeconds();
       }
     }
     double dt = watch.ElapsedSeconds();
@@ -680,20 +709,28 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
     latency.Add(lat);
 
     // Collect derived events (deterministic partition order).
-    EventBatch tick_derived;
     int64_t tick_derived_count = 0;
-    for (EventBatch& batch : derived) {
+    for (size_t w = 0; w < num_slots; ++w) {
+      EventBatch& batch = derived_slots_[w];
       for (EventPtr& event : batch) {
-        ++stats.derived_events;
-        ++tick_derived_count;
-        ++stats.derived_by_type[plan_.registry->type(event->type_id()).name];
+        const auto type = static_cast<size_t>(event->type_id());
+        if (type >= derived_type_counts_.size()) {
+          derived_type_counts_.resize(type + 1, 0);
+        }
+        ++derived_type_counts_[type];
         if (options_.collect_outputs && outputs != nullptr) {
           outputs->push_back(event);
         }
-        if (observer_) tick_derived.push_back(std::move(event));
+        if (observer_) tick_derived_.push_back(std::move(event));
       }
+      tick_derived_count += static_cast<int64_t>(batch.size());
+      batch.clear();
     }
-    if (observer_) observer_(t, tick_derived);
+    stats.derived_events += tick_derived_count;
+    if (observer_) {
+      observer_(t, tick_derived_);
+      tick_derived_.clear();
+    }
 
     // Per-tick telemetry: the deterministic histograms, the wall-clock
     // stats, and one timeline point. The barrier ordered every worker
@@ -702,30 +739,33 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
       ++tick_metrics_.ticks;
       tick_metrics_.events_per_tick.Add(static_cast<uint64_t>(j - i));
       tick_metrics_.partitions_per_tick.Add(
-          static_cast<uint64_t>(work.size()));
+          static_cast<uint64_t>(num_slots));
       tick_metrics_.derived_per_tick.Add(
           static_cast<uint64_t>(tick_derived_count));
       int64_t context_switches = 0;
       int64_t executed_after = 0;
       int64_t suspended_after = 0;
-      for (size_t w = 0; w < work.size(); ++w) {
+      for (size_t w = 0; w < num_slots; ++w) {
+        const PartitionState& partition = *tick_slots_[w].partition;
         context_switches +=
-            static_cast<int64_t>(work[w].first->contexts->version() -
+            static_cast<int64_t>(partition.contexts->version() -
                                  context_version_scratch_[w]);
-        executed_after += work[w].first->total_executed;
-        suspended_after += work[w].first->total_suspended;
+        executed_after += partition.total_executed;
+        suspended_after += partition.total_suspended;
       }
       tick_metrics_.context_switches_per_tick.Add(
           static_cast<uint64_t>(context_switches));
       tick_metrics_.scheduler_seconds.Add(dt);
-      // In parallel mode the scheduler spends the tick blocked on the
-      // pool's barrier, so dt is the per-tick barrier wait.
-      if (executor_ != nullptr) tick_metrics_.barrier_wait_seconds.Add(dt);
+      // In parallel mode the scheduler spends ExecuteTick blocked on the
+      // pool's barrier; partition creation before it is not waiting.
+      if (executor_ != nullptr) {
+        tick_metrics_.barrier_wait_seconds.Add(barrier_wait);
+      }
       TimelinePoint point;
       point.time = t;
       point.input_events = static_cast<int64_t>(j - i);
       point.derived_events = tick_derived_count;
-      point.partitions = static_cast<int64_t>(work.size());
+      point.partitions = static_cast<int64_t>(num_slots);
       point.executed_chains = executed_after - executed_before;
       point.suspended_chains = suspended_after - suspended_before;
       point.context_switches = context_switches;
@@ -780,6 +820,11 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
 
   stats.max_latency = latency.max();
   stats.mean_latency = latency.mean();
+  for (size_t type = 0; type < derived_type_counts_.size(); ++type) {
+    if (derived_type_counts_[type] == 0) continue;
+    stats.derived_by_type[plan_.registry->type(static_cast<TypeId>(type))
+                              .name] += derived_type_counts_[type];
+  }
   uint64_t ops_after = 0;
   for (const auto& [key, partition] : partitions_) {
     ops_after += partition->ops_counter;
@@ -821,25 +866,24 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
 }
 
 void Engine::ProcessTransaction(PartitionState* partition, Timestamp t,
-                                const EventBatch& events,
+                                const EventPtr* events, size_t num_events,
                                 EventBatch* derived, int worker) {
   ++partition->transactions;
   EventBatch& pool = partition->pool;
-  pool.clear();
-  pool.insert(pool.end(), events.begin(), events.end());
+  pool.assign(events, events + num_events);
 
   // Phase A: context derivation. Phase B: context processing. Queries see
   // the pool slice that exists when their turn comes (topological order
   // guarantees producers run first).
   for (auto* states : {&partition->deriving, &partition->processing}) {
     for (QueryState& query : *states) {
-      EventBatch out;
-      RunQuery(partition, &query, pool, t, &out, worker);
-      if (query.spec->output_type != kInvalidTypeId) {
-        for (EventPtr& event : out) {
-          pool.push_back(event);
-          derived->push_back(std::move(event));
-        }
+      const EventBatch& out = RunQuery(partition, &query, pool, t, worker);
+      if (query.spec->output_type != kInvalidTypeId && !out.empty()) {
+        // Into `derived` first: an empty chain's output is the pool itself.
+        const size_t n = out.size();
+        derived->insert(derived->end(), out.begin(), out.end());
+        pool.insert(pool.end(), derived->end() - static_cast<ptrdiff_t>(n),
+                    derived->end());
       }
     }
   }
@@ -851,25 +895,25 @@ void Engine::ProcessTransaction(PartitionState* partition, Timestamp t,
   // are commutative sums, so they don't depend on who executed what.
   if (registry_ != nullptr) {
     ctr_transactions_->Add(worker, 1);
-    ctr_input_events_->Add(worker, static_cast<int64_t>(events.size()));
+    ctr_input_events_->Add(worker, static_cast<int64_t>(num_events));
     ctr_derived_events_->Add(worker, static_cast<int64_t>(derived->size()));
-    hist_transaction_events_->Add(worker, events.size());
+    hist_transaction_events_->Add(worker, num_events);
     hist_transaction_derived_->Add(worker, derived->size());
   }
 }
 
-void Engine::RunQuery(PartitionState* partition, QueryState* query,
-                      const EventBatch& pool, Timestamp t, EventBatch* out,
-                      int worker) {
+const EventBatch& Engine::RunQuery(PartitionState* partition,
+                                   QueryState* query, const EventBatch& pool,
+                                   Timestamp t, int worker) {
   OpExecContext ctx;
   ctx.registry = plan_.registry;
   ctx.now = t;
   ctx.ops_counter = &partition->ops_counter;
+  ChainScratch& scratch = chain_scratch_[worker];
 
   // Context-independent baseline: private guards re-derive the contexts.
   if (query->private_contexts != nullptr) {
     ctx.contexts = query->private_contexts.get();
-    EventBatch scratch_in, scratch_out;
     for (QueryState::GuardInstance& guard : query->guards) {
       // Guards mirror the shared deriving queries, including their window
       // transition bookkeeping against the private vector.
@@ -877,10 +921,10 @@ void Engine::RunQuery(PartitionState* partition, QueryState* query,
                              *query->private_contexts, &guard.transition);
       const EventBatch* current = &pool;
       for (auto& op : guard.chain.ops) {
-        scratch_out.clear();
-        op->Process(*current, &scratch_out, &ctx);
-        std::swap(scratch_in, scratch_out);
-        current = &scratch_in;
+        EventBatch* next = scratch.OutputFor(current);
+        next->clear();
+        op->Process(*current, next, &ctx);
+        current = next;
         if (current->empty()) break;
       }
     }
@@ -891,11 +935,8 @@ void Engine::RunQuery(PartitionState* partition, QueryState* query,
   // Window-transition bookkeeping runs after the guards so the private
   // vector (context-independent mode) is already up to date for this time
   // stamp, mirroring the shared derivation-before-processing order.
-  HandleWindowTransitions(partition, query, t);
+  HandleWindowTransitions(partition, query);
 
-  // Main chain; an empty intermediate batch skips the rest of the chain —
-  // with the context window pushed down this is the suspension of the whole
-  // query during foreign contexts.
   // Per-invocation distributions go into the executing worker's shard rows
   // (hoisted pointer: one base computation per chain, not per op). Work
   // units are the deterministic execution-time measure of the cost model —
@@ -904,41 +945,49 @@ void Engine::RunQuery(PartitionState* partition, QueryState* query,
       op_histograms_.empty()
           ? nullptr
           : op_histograms_[worker].data() + query->stats_row_base;
-  EventBatch ping, pong;
+  const std::vector<std::unique_ptr<Operator>>& ops = query->chain.ops;
+
+  // Routing: a chain whose bottom context window is closed is suspended
+  // before it runs — no batch, no virtual call. Its statistics row records
+  // what running the window would have: the pool in, nothing out, no work.
+  if (!ops.empty() && ops[0]->kind() == Operator::Kind::kContextWindow &&
+      static_cast<const ContextWindowOp&>(*ops[0]).Suspends(*ctx.contexts)) {
+    if (hist_rows != nullptr) {
+      hist_rows[0].input_batch.Add(pool.size());
+      hist_rows[0].output_batch.Add(0);
+      hist_rows[0].work_per_invocation.Add(0);
+    }
+    partition->CountChain(/*suspended=*/!pool.empty());
+    scratch.ping.clear();
+    return scratch.ping;
+  }
+
+  // Main chain; an empty intermediate batch skips the rest of the chain.
+  // An open window that passes nothing (every event predates its anchor)
+  // still counts as suspended at the bottom.
   const EventBatch* current = &pool;
   bool suspended_at_bottom = false;
-  for (size_t o = 0; o < query->chain.ops.size(); ++o) {
-    pong.clear();
+  for (size_t o = 0; o < ops.size(); ++o) {
+    EventBatch* next = scratch.OutputFor(current);
+    next->clear();
     uint64_t work_before = partition->ops_counter;
-    query->chain.ops[o]->Process(*current, &pong, &ctx);
+    ops[o]->Process(*current, next, &ctx);
     if (hist_rows != nullptr) {
       OperatorHistograms& hist = hist_rows[o];
       hist.input_batch.Add(current->size());
-      hist.output_batch.Add(pong.size());
+      hist.output_batch.Add(next->size());
       hist.work_per_invocation.Add(partition->ops_counter - work_before);
     }
-    std::swap(ping, pong);
-    current = &ping;
+    current = next;
     if (current->empty()) {
       suspended_at_bottom =
-          (o == 0 &&
-           query->chain.ops[0]->kind() == Operator::Kind::kContextWindow &&
+          (o == 0 && ops[0]->kind() == Operator::Kind::kContextWindow &&
            !pool.empty());
       break;
     }
   }
-  if (suspended_at_bottom) {
-    ++partition->suspended_chains;
-    ++partition->total_suspended;
-  } else {
-    ++partition->executed_chains;
-    ++partition->total_executed;
-  }
-  if (current == &ping) {
-    *out = std::move(ping);
-  } else {
-    *out = *current;  // pool passed through an empty chain (not expected)
-  }
+  partition->CountChain(suspended_at_bottom);
+  return *current;
 }
 
 StatisticsReport Engine::CollectStatistics() const {
@@ -1027,8 +1076,7 @@ std::vector<Engine::OperatorHistograms> Engine::MergedOperatorHistograms()
 }
 
 void Engine::HandleWindowTransitions(PartitionState* partition,
-                                     QueryState* query, Timestamp t) {
-  (void)t;
+                                     QueryState* query) {
   const ContextBitVector& contexts = query->private_contexts != nullptr
                                          ? *query->private_contexts
                                          : *partition->contexts;

@@ -11,8 +11,10 @@
 // criterion for conflicting reads/writes of shared context data.
 //
 // Context-aware routing and suspension: each query chain carries its
-// context-window operator; with push-down the chain empties immediately for
-// inactive contexts and the rest of the chain is skipped. Window
+// context-window operator; with push-down it heads the chain, and the
+// router probes it before running anything — a query whose contexts are
+// all inactive is suspended at the cost of one bit-vector test, with no
+// batch built and no operator called. Window
 // transitions additionally manage the *context history*: when a query's
 // (original) window ends its partial matches are discarded; across grouped
 // windows of one original window they are retained, expiring one grouped
@@ -35,6 +37,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -387,22 +390,23 @@ class Engine {
   // Fills partition_attr_cache_[type_id] from the registry schema.
   void ResolvePartitionAttrs(TypeId type_id);
 
-  // Executes one stream transaction (one partition, one time stamp).
-  // `worker` is the metrics shard to record into — the id of the executing
-  // worker (0 in serial mode), which keeps the non-atomic histogram shards
-  // single-writer under any scheduler mode.
+  // Executes one stream transaction (one partition, one time stamp) over
+  // the `num_events` events at `events`, appending what it derives to
+  // `derived`. `worker` is the id of the executing worker (0 in serial
+  // mode): it picks the metrics shard and the chain scratch, which keeps
+  // both single-writer under any scheduler mode.
   void ProcessTransaction(PartitionState* partition, Timestamp t,
-                          const EventBatch& events, EventBatch* derived,
-                          int worker);
+                          const EventPtr* events, size_t num_events,
+                          EventBatch* derived, int worker);
 
-  // Runs one query chain (with guards in CI mode) over the pool slice.
-  void RunQuery(PartitionState* partition, QueryState* query,
-                const EventBatch& pool, Timestamp t, EventBatch* out,
-                int worker);
+  // Runs one query chain (with guards in CI mode) over the pool slice and
+  // returns its output: the worker's chain scratch (valid until the
+  // worker's next RunQuery), or the pool itself for an empty chain.
+  const EventBatch& RunQuery(PartitionState* partition, QueryState* query,
+                             const EventBatch& pool, Timestamp t, int worker);
 
   // Window-transition bookkeeping before a query executes.
-  void HandleWindowTransitions(PartitionState* partition, QueryState* query,
-                               Timestamp t);
+  void HandleWindowTransitions(PartitionState* partition, QueryState* query);
 
   // --- Durability serialization (scheduler thread only) ---
   // The per-batch commit snapshot: ingest-layer scalars, the quarantine
@@ -440,10 +444,51 @@ class Engine {
   // num_threads > 1 and reused across ticks and Run calls, or borrowed
   // from EngineOptions::shared_executor (one pool, many tenant engines).
   std::shared_ptr<ShardedExecutor> executor_;
-  // Scratch: the current tick's partition keys and task weights (event
-  // counts), in work order. Members so the hot path reuses their capacity.
+  // Per-tick scratch, filled and drained on the scheduler thread. Members
+  // so a steady-state tick reuses their capacity and allocates nothing;
+  // their size follows events and partitions per tick, never the number
+  // of partitions ever seen.
+  //  - keyed_scratch_: (partition key, input index) of the tick's events,
+  //    sorted, so partitions come in ascending key order and each keeps
+  //    its events' arrival order — the deterministic merge order;
+  //  - tick_events_: the tick's events grouped by partition in that order;
+  //  - tick_slots_: one slot per touched partition (= one task), naming
+  //    where its run of tick_events_ starts;
+  //  - shard_scratch_/weight_scratch_: per slot, the partition key and the
+  //    task weight handed to the pool — the run's length in events;
+  //  - derived_slots_: per slot, the events the transaction derived, merged
+  //    in slot order and cleared (capacity kept) at the end of the tick;
+  //  - tick_derived_: the merged tick output shown to the tick observer;
+  //  - derived_type_counts_: derived events per TypeId this Run, folded
+  //    into RunStats::derived_by_type once per Run.
+  struct TickSlot {
+    PartitionState* partition = nullptr;
+    size_t first = 0;  // index into tick_events_
+  };
+  std::vector<std::pair<uint64_t, size_t>> keyed_scratch_;
+  EventBatch tick_events_;
+  std::vector<TickSlot> tick_slots_;
   std::vector<uint64_t> shard_scratch_;
   std::vector<uint64_t> weight_scratch_;
+  std::vector<EventBatch> derived_slots_;
+  EventBatch tick_derived_;
+  std::vector<int64_t> derived_type_counts_;
+
+  // Per-worker chain scratch, indexed like the metric shards by the id of
+  // the executing worker: the two batches a chain's operators alternate
+  // between (the private guard chains of the context-independent baseline
+  // use them too — their output is dropped before the main chain runs).
+  // A worker runs one chain at a time, so two batches per worker suffice.
+  // Padded so neighbouring workers never share a cache line.
+  struct alignas(64) ChainScratch {
+    EventBatch ping;
+    EventBatch pong;
+    // The batch an operator reading `input` writes into.
+    EventBatch* OutputFor(const EventBatch* input) {
+      return input == &ping ? &pong : &ping;
+    }
+  };
+  std::vector<ChainScratch> chain_scratch_;
 
   // Ingest state (scheduler thread only). The reorder buffer exists iff
   // the policy is kReorder; the drop high-water mark backs kDrop. Both

@@ -163,6 +163,51 @@ TEST_F(EngineTest, TickObserverSeesDerivedEventsPerTimestamp) {
   EXPECT_EQ(derived_per_tick[2], 1);
 }
 
+// The merge emits each tick's derived events in partition-key order, not
+// arrival order: whichever partition's event comes first, outputs and the
+// tick observer see the same sequence. Reversing the arrival order of the
+// partitions makes the first event of some run belong to a larger key.
+TEST_F(EngineTest, DerivedEventsMergeInPartitionKeyOrder) {
+  CaesarModel model = Parse(kMiniModel);
+  auto run = [&](bool reversed, EventBatch* observed) {
+    auto plan = TranslateModel(model, PlanOptions());
+    EXPECT_TRUE(plan.ok()) << plan.status();
+    Engine engine(std::move(plan).value(), EngineOptions());
+    engine.SetTickObserver([observed](Timestamp, const EventBatch& derived) {
+      observed->insert(observed->end(), derived.begin(), derived.end());
+    });
+    // Two ticks; per partition, two readings per tick that both switch to
+    // high and alert, interleaved across partitions. Each partition's own
+    // events keep their order in both runs.
+    EventBatch input;
+    for (Timestamp t = 0; t < 2; ++t) {
+      for (int64_t round = 0; round < 2; ++round) {
+        for (int64_t i = 1; i <= 4; ++i) {
+          const int64_t seg = reversed ? 5 - i : i;
+          input.push_back(Reading(seg, 20 + 10 * seg + round, t));
+        }
+      }
+    }
+    EventBatch outputs;
+    engine.Run(input, &outputs).value();
+    return outputs;
+  };
+  auto lines = [&](const EventBatch& events) {
+    std::vector<std::string> out;
+    for (const EventPtr& event : events) {
+      out.push_back(event->ToString(registry_));
+    }
+    return out;
+  };
+  EventBatch observed_forward, observed_reversed;
+  EventBatch forward = run(/*reversed=*/false, &observed_forward);
+  EventBatch reversed = run(/*reversed=*/true, &observed_reversed);
+  ASSERT_EQ(forward.size(), 16u);
+  EXPECT_EQ(lines(forward), lines(reversed));
+  EXPECT_EQ(lines(observed_forward), lines(forward));
+  EXPECT_EQ(lines(observed_reversed), lines(reversed));
+}
+
 TEST_F(EngineTest, StatsArepopulated) {
   CaesarModel model = Parse(kMiniModel);
   auto plan = TranslateModel(model, PlanOptions());
@@ -387,6 +432,89 @@ TEST_F(EngineTest, GcHorizonClampsToZeroOnShortStreams) {
   EventBatch outputs_nogc;
   nogc.Run(input, &outputs_nogc).value();
   EXPECT_EQ(Canonical(outputs), Canonical(outputs_nogc));
+}
+
+// A query whose context never activates is suspended before its chain
+// runs, yet at kOperator its bottom window row still records every
+// transaction as if the window had run: the pool in, nothing out, no work.
+// Apart from that row the run is the kOff run.
+void ExpectSuspendedWindowRow(const CaesarModel& model, TypeId reading,
+                              const PlanOptions& plan_options) {
+  constexpr int64_t kTicks = 40;
+  EventBatch input;
+  for (Timestamp t = 0; t < kTicks; ++t) {
+    // Both readings would alert in `high`, which `go_high` never enters.
+    for (int64_t value : {20, 30}) {
+      input.push_back(MakeEvent(reading, t, {Value(int64_t{1}), Value(value),
+                                             Value(t)}));
+    }
+  }
+  std::vector<RunStats> stats;
+  StatisticsReport report;
+  for (MetricsGranularity metrics :
+       {MetricsGranularity::kOff, MetricsGranularity::kOperator}) {
+    auto plan = TranslateModel(model, plan_options);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EngineOptions options;
+    options.metrics = metrics;
+    Engine engine(std::move(plan).value(), options);
+    stats.push_back(engine.Run(input).value());
+    report = engine.CollectStatistics();
+  }
+  const QueryOperatorStats* window = nullptr;
+  for (const QueryOperatorStats& row : report.operators) {
+    if (row.query == "alert" && row.op_index == 0) window = &row;
+  }
+  ASSERT_NE(window, nullptr);
+  ASSERT_EQ(window->kind, Operator::Kind::kContextWindow);
+  EXPECT_EQ(window->stats.invocations, static_cast<uint64_t>(kTicks));
+  EXPECT_EQ(window->stats.input_events, static_cast<uint64_t>(2 * kTicks));
+  EXPECT_EQ(window->stats.output_events, 0u);
+  EXPECT_EQ(window->stats.work_units, 0u);
+  // Only the window row of `alert` ran: nothing above it did.
+  for (const QueryOperatorStats& row : report.operators) {
+    if (row.query == "alert" && row.op_index > 0) {
+      EXPECT_EQ(row.stats.invocations, 0u) << row.description;
+    }
+  }
+  for (const RunStats& run : stats) {
+    EXPECT_EQ(run.suspended_chains, kTicks);
+    EXPECT_EQ(run.executed_chains, kTicks);  // go_high, in `normal`
+    EXPECT_EQ(run.transactions, kTicks);
+    EXPECT_EQ(run.derived_events, 0);
+  }
+  const RunStats& off = stats[0];
+  const RunStats& op = stats[1];
+  EXPECT_EQ(op.input_events, off.input_events);
+  EXPECT_EQ(op.ops_executed, off.ops_executed);
+  EXPECT_EQ(op.derived_by_type, off.derived_by_type);
+  EXPECT_EQ(op.partitions, off.partitions);
+}
+
+constexpr char kGatedOffModel[] = R"(
+CONTEXTS normal, high DEFAULT normal;
+PARTITION BY seg;
+
+QUERY go_high
+SWITCH CONTEXT high PATTERN Reading r WHERE r.value > 100 CONTEXT normal;
+
+QUERY alert
+DERIVE Alert(r.seg AS seg, r.value AS value)
+PATTERN Reading r WHERE r.value > 15
+CONTEXT high;
+)";
+
+TEST_F(EngineTest, SuspendedQueryRecordsItsWindowRow) {
+  ExpectSuspendedWindowRow(Parse(kGatedOffModel), reading_, PlanOptions());
+}
+
+// The same on the context-independent baseline, where the gate is the
+// query-private context vector its guards maintain (push-down kept on so
+// the window still heads the chain).
+TEST_F(EngineTest, SuspendedBaselineQueryRecordsItsWindowRow) {
+  PlanOptions plan_options;
+  plan_options.context_independent = true;
+  ExpectSuspendedWindowRow(Parse(kGatedOffModel), reading_, plan_options);
 }
 
 }  // namespace
