@@ -156,7 +156,6 @@ int Main(int argc, char** argv) {
         options.accel = accel;
         options.num_threads = threads;
         options.scheduler = mode;
-        options.collect_outputs = false;
         options.metrics = granularity;
         StatisticsReport report;
         RunStats stats = bench::RunExperimentWithOptions(
@@ -234,7 +233,6 @@ int Main(int argc, char** argv) {
     EngineOptions options;
     options.accel = accel;
     options.num_threads = threads;
-    options.collect_outputs = false;
     options.metrics = granularity;
     StatisticsReport report;
     RunStats stats = bench::RunExperimentWithOptions(

@@ -163,7 +163,6 @@ int Main(int argc, char** argv) {
     for (PatternEngine engine :
          {PatternEngine::kInterpreted, PatternEngine::kCompiled}) {
       EngineOptions options;
-      options.collect_outputs = false;
       options.metrics = granularity;
       options.pattern_engine = engine;
       StatisticsReport report;

@@ -62,7 +62,8 @@ enum class DiagCode : int16_t {
   kP302TrailingNegation,       // SEQ(..., NOT X) has no planner support
   kP303MultiNegatedPredicate,  // predicate spans several negated variables
   kP304PlanTranslation,        // TranslateModel failed for another reason
-  kP305CompiledFallback,       // pattern too wide for the automaton compiler
+  // P305 is retired (the automaton compiler covers every pattern width);
+  // its number is not reused.
 
   // I4xx — ingest and IO (shared vocabulary with QuarantineReason and the
   // tolerant CSV reader).

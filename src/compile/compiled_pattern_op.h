@@ -1,6 +1,8 @@
-// The automaton-backed pattern operator (EngineOptions::pattern_engine =
-// compiled). Semantically identical to algebra/pattern_op.h — the engine
-// swaps one for the other behind the Operator interface — but incremental:
+// The automaton-backed pattern operator. Under EngineOptions::pattern_engine
+// = compiled the engine replaces every PATTERN operator with one of these,
+// whatever its width (single-event pass-through patterns included), behind
+// the Operator interface. Semantically identical to algebra/pattern_op.h,
+// but incremental:
 //
 //  - Runs are bucketed per automaton state and only probed when an event of
 //    the state's awaited type arrives (type dispatch), instead of scanning

@@ -12,15 +12,9 @@
 
 namespace caesar {
 
-bool CompileSupported(const PatternOpConfig& config) {
-  return static_cast<int>(config.positions.size()) <= kMaxCompiledPositions;
-}
-
 std::shared_ptr<const CompiledAutomaton> CompilePattern(
     std::shared_ptr<const PatternOpConfig> config,
     const PatternCompileOptions& options) {
-  CAESAR_CHECK(CompileSupported(*config))
-      << "pattern exceeds kMaxCompiledPositions: " << config->description;
   auto automaton = std::make_shared<CompiledAutomaton>();
   automaton->config = config;
   const auto& positions = config->positions;
@@ -139,12 +133,6 @@ Result<std::string> DumpModelAutomatons(
         if (op->kind() != Operator::Kind::kPattern) continue;
         const auto* pattern = static_cast<const PatternOp*>(op.get());
         os << "query " << query.name << "\n";
-        if (!CompileSupported(pattern->config())) {
-          os << "  fallback: interpreted ("
-             << pattern->config().positions.size() << " positions > "
-             << kMaxCompiledPositions << ")\n";
-          continue;
-        }
         os << CompilePattern(pattern->shared_config(), compile_options)
                   ->DumpText(*plan.registry);
       }

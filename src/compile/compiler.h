@@ -3,9 +3,9 @@
 // Compilation resolves everything the interpreted matcher re-derives per
 // event or per match — positive/negated position split, negation intervals,
 // per-type state dispatch — and orders each transition's predicate closures
-// by the cost model's estimates (see automaton.h). Patterns beyond
-// kMaxCompiledPositions fall back to the interpreted operator (the analyzer
-// notes this as P305).
+// by the cost model's estimates (see automaton.h). Every pattern compiles,
+// whatever its width: a run holds one event slot per position, so nothing
+// bounds the position count.
 
 #ifndef CAESAR_COMPILE_COMPILER_H_
 #define CAESAR_COMPILE_COMPILER_H_
@@ -21,14 +21,6 @@ namespace caesar {
 class CaesarModel;
 struct PlanOptions;
 
-// Ceiling on compilable pattern width. Patterns this long do not occur in
-// practice (the generator tops out at 4 positions); the bound keeps the
-// per-run slot arrays small and gives the P305 fallback note a trigger.
-inline constexpr int kMaxCompiledPositions = 16;
-
-// True when `config` can be compiled (position count within the limit).
-bool CompileSupported(const PatternOpConfig& config);
-
 // Knobs consulted while compiling one pattern.
 struct PatternCompileOptions {
   // Run the abstract interpreter (analysis/absint.h) over the position
@@ -39,17 +31,15 @@ struct PatternCompileOptions {
   bool absint = true;
 };
 
-// Compiles `config`; aborts if !CompileSupported(config). The automaton
-// shares ownership of the config.
+// Compiles `config`. The automaton shares ownership of the config.
 std::shared_ptr<const CompiledAutomaton> CompilePattern(
     std::shared_ptr<const PatternOpConfig> config,
     const PatternCompileOptions& options = {});
 
 // Translates `model` and renders the automaton of every pattern operator in
 // plan order (deriving queries, then processing), one DumpText block per
-// operator prefixed by "query <name>". Unsupported patterns render a
-// one-line fallback note instead. Backs `caesar_lint --dump-automaton` and
-// the tests/compile_corpus/ goldens.
+// operator prefixed by "query <name>". Backs `caesar_lint --dump-automaton`
+// and the tests/compile_corpus/ goldens.
 Result<std::string> DumpModelAutomatons(
     const CaesarModel& model, const PlanOptions& plan_options,
     const PatternCompileOptions& compile_options = {});

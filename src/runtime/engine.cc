@@ -35,15 +35,11 @@ size_t NumOperatorRows(const ExecutablePlan& plan) {
 // every (query, op) row index — statistics, histograms, lint — is
 // unchanged). Runs on the template plan before any partition clones it,
 // so clones inherit the selected operator.
-void RewritePatternOps(OpChain* chain, PatternEngine mode,
+void RewritePatternOps(OpChain* chain,
                        const PatternCompileOptions& compile_options) {
   for (auto& op : chain->ops) {
     if (op->kind() != Operator::Kind::kPattern) continue;
     const auto* pattern = static_cast<const PatternOp*>(op.get());
-    if (!CompileSupported(pattern->config())) continue;  // P305 fallback
-    if (mode == PatternEngine::kAuto && pattern->config().pass_through) {
-      continue;  // stateless event match: nothing for the automaton to win
-    }
     op = std::make_unique<CompiledPatternOp>(
         CompilePattern(pattern->shared_config(), compile_options));
   }
@@ -54,9 +50,9 @@ void RewritePatternEngine(ExecutablePlan* plan, PatternEngine mode,
   if (mode == PatternEngine::kInterpreted) return;
   for (auto* queries : {&plan->deriving, &plan->processing}) {
     for (CompiledQuery& query : *queries) {
-      RewritePatternOps(&query.chain, mode, compile_options);
+      RewritePatternOps(&query.chain, compile_options);
       for (OpChain& guard : query.guards) {
-        RewritePatternOps(&guard, mode, compile_options);
+        RewritePatternOps(&guard, compile_options);
       }
     }
   }
@@ -70,8 +66,6 @@ const char* PatternEngineName(PatternEngine engine) {
       return "interpreted";
     case PatternEngine::kCompiled:
       return "compiled";
-    case PatternEngine::kAuto:
-      return "auto";
   }
   return "?";
 }
@@ -81,8 +75,6 @@ bool ParsePatternEngine(const std::string& name, PatternEngine* out) {
     *out = PatternEngine::kInterpreted;
   } else if (name == "compiled") {
     *out = PatternEngine::kCompiled;
-  } else if (name == "auto") {
-    *out = PatternEngine::kAuto;
   } else {
     return false;
   }
@@ -220,25 +212,18 @@ struct Engine::PartitionState {
   std::unique_ptr<ContextBitVector> contexts;
   std::vector<QueryState> deriving;
   std::vector<QueryState> processing;
+  // Cumulative counters, never reset: a Run reports after-minus-before
+  // sums, CollectStatistics the totals.
   uint64_t ops_counter = 0;
-  int64_t suspended_chains = 0;
-  int64_t executed_chains = 0;
-  // Cumulative counterparts, never reset (for CollectStatistics).
   int64_t total_suspended = 0;
   int64_t total_executed = 0;
-  int64_t transactions = 0;
+  int64_t total_transactions = 0;
   EventBatch pool;  // scratch, reused across transactions
 
   // Counts one chain execution: suspended = skipped at its bottom context
   // window with events in the pool.
   void CountChain(bool suspended) {
-    if (suspended) {
-      ++suspended_chains;
-      ++total_suspended;
-    } else {
-      ++executed_chains;
-      ++total_executed;
-    }
+    ++(suspended ? total_suspended : total_executed);
   }
 };
 
@@ -599,9 +584,16 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
   const EventBatch& input = *effective;
 
   RunningStats latency;
+  // Partition counters at entry; the stats below are after-minus-before.
   uint64_t ops_before = 0;
+  int64_t suspended_at_entry = 0;
+  int64_t executed_at_entry = 0;
+  int64_t transactions_at_entry = 0;
   for (const auto& [key, partition] : partitions_) {
     ops_before += partition->ops_counter;
+    suspended_at_entry += partition->total_suspended;
+    executed_at_entry += partition->total_executed;
+    transactions_at_entry += partition->total_transactions;
   }
   const ExecutorMetrics exec_before =
       executor_ != nullptr ? executor_->metrics() : ExecutorMetrics{};
@@ -718,9 +710,7 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
           derived_type_counts_.resize(type + 1, 0);
         }
         ++derived_type_counts_[type];
-        if (options_.collect_outputs && outputs != nullptr) {
-          outputs->push_back(event);
-        }
+        if (outputs != nullptr) outputs->push_back(event);
         if (observer_) tick_derived_.push_back(std::move(event));
       }
       tick_derived_count += static_cast<int64_t>(batch.size());
@@ -828,14 +818,14 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
   uint64_t ops_after = 0;
   for (const auto& [key, partition] : partitions_) {
     ops_after += partition->ops_counter;
-    stats.suspended_chains += partition->suspended_chains;
-    stats.executed_chains += partition->executed_chains;
-    stats.transactions += partition->transactions;
-    partition->suspended_chains = 0;
-    partition->executed_chains = 0;
-    partition->transactions = 0;
+    stats.suspended_chains += partition->total_suspended;
+    stats.executed_chains += partition->total_executed;
+    stats.transactions += partition->total_transactions;
   }
   stats.ops_executed = ops_after - ops_before;
+  stats.suspended_chains -= suspended_at_entry;
+  stats.executed_chains -= executed_at_entry;
+  stats.transactions -= transactions_at_entry;
   stats.partitions = static_cast<int64_t>(partitions_.size());
   if (executor_ != nullptr) {
     const ExecutorMetrics& exec = executor_->metrics();
@@ -868,7 +858,7 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
 void Engine::ProcessTransaction(PartitionState* partition, Timestamp t,
                                 const EventPtr* events, size_t num_events,
                                 EventBatch* derived, int worker) {
-  ++partition->transactions;
+  ++partition->total_transactions;
   EventBatch& pool = partition->pool;
   pool.assign(events, events + num_events);
 

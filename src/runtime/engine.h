@@ -72,12 +72,10 @@ enum class AnalysisMode : int8_t {
 enum class PatternEngine : int8_t {
   kInterpreted = 0,  // algebra/pattern_op.h: scan every partial per event
   kCompiled,         // compile/: automaton runs, type-dispatched states
-  kAuto,  // compile multi-position patterns; single-event matches stay
-          // interpreted (pass-through has no state to dispatch)
 };
 
 const char* PatternEngineName(PatternEngine engine);
-// Parses "interpreted" / "compiled" / "auto"; false on anything else.
+// Parses "interpreted" / "compiled"; false on anything else.
 bool ParsePatternEngine(const std::string& name, PatternEngine* out);
 
 // Engine configuration.
@@ -129,9 +127,6 @@ struct EngineOptions {
   Timestamp gc_interval = 120;
   Timestamp gc_horizon = 900;
 
-  // Collect derived events into the output batch passed to Run.
-  bool collect_outputs = true;
-
   // Telemetry granularity (runtime/observability.h): kEngine records tick
   // metrics, the activity timeline, and the sharded registry counters;
   // kOperator additionally records the per-operator statistics (the Fig. 8
@@ -168,10 +163,8 @@ struct EngineOptions {
   // Static model analysis during the model-based Create (see AnalysisMode).
   AnalysisMode analysis = AnalysisMode::kOff;
 
-  // Pattern-matcher implementation (see PatternEngine). Patterns the
-  // compiler does not support (width beyond kMaxCompiledPositions) keep
-  // the interpreted operator under kCompiled/kAuto; the analyzer notes the
-  // fallback as P305.
+  // Pattern-matcher implementation (see PatternEngine); it alone picks the
+  // matcher of every PATTERN operator in the plan.
   PatternEngine pattern_engine = PatternEngine::kInterpreted;
 
   // Abstract-interpretation pass over the patterns the compiler handles

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <utility>
+#include <vector>
 
 namespace caesar {
 namespace {
@@ -93,20 +94,62 @@ JsonValue EncodeEventBatch(const EventBatch& events,
 
 namespace {
 
+// An exactly integral double within int64 range (JSON clients often cannot
+// emit int64 distinctly). 2^63 is exact as a double; anything at or past it
+// would overflow the conversion.
+bool ReadIntegralDouble(double d, int64_t* out) {
+  constexpr double kLimit = 9223372036854775808.0;  // 2^63
+  if (!std::isfinite(d) || d != std::floor(d) || d < -kLimit || d >= kLimit) {
+    return false;
+  }
+  *out = static_cast<int64_t>(d);
+  return true;
+}
+
 // Strict integral timestamp: ints pass through; doubles only if exactly
-// integral (JSON clients often cannot emit int64 distinctly).
+// integral.
 bool ReadTimestamp(const JsonValue& v, Timestamp* out) {
   if (v.is_int()) {
     *out = v.int_value();
     return true;
   }
-  if (v.is_double()) {
-    const double d = v.double_value();
-    if (!std::isfinite(d) || d != std::floor(d)) return false;
-    *out = static_cast<Timestamp>(d);
-    return true;
+  return v.is_double() && ReadIntegralDouble(v.double_value(), out);
+}
+
+// Appends wire value `v` decoded for an attribute of type `want` (kNull:
+// no schema to check against); false when it does not fit. Null fits every
+// attribute and ints fit double ones unconverted; an integral double in an
+// int attribute becomes an int, as a timestamp does, so integer arithmetic
+// never meets a double.
+bool AppendValue(const JsonValue& v, ValueType want,
+                 std::vector<Value>* values) {
+  switch (v.kind()) {
+    case JsonValue::Kind::kNull:
+      values->emplace_back();
+      return true;
+    case JsonValue::Kind::kInt:
+      if (want == ValueType::kString) return false;
+      values->emplace_back(v.int_value());
+      return true;
+    case JsonValue::Kind::kDouble: {
+      if (want == ValueType::kString) return false;
+      int64_t integral = 0;
+      if (want != ValueType::kInt) {
+        values->emplace_back(v.double_value());
+      } else if (ReadIntegralDouble(v.double_value(), &integral)) {
+        values->emplace_back(integral);
+      } else {
+        return false;
+      }
+      return true;
+    }
+    case JsonValue::Kind::kString:
+      if (want == ValueType::kInt || want == ValueType::kDouble) return false;
+      values->emplace_back(v.string_value());
+      return true;
+    default:
+      return false;
   }
-  return false;
 }
 
 }  // namespace
@@ -139,32 +182,43 @@ Status DecodeEventRow(const JsonValue& row, const TypeRegistry& registry,
   if (!wire_values.is_array()) {
     return Status::InvalidArgument("event row values must be an array");
   }
-  std::vector<Value> values;
-  values.reserve(wire_values.items().size());
-  for (const JsonValue& v : wire_values.items()) {
-    switch (v.kind()) {
-      case JsonValue::Kind::kNull:
-        values.emplace_back();
-        break;
-      case JsonValue::Kind::kInt:
-        values.emplace_back(v.int_value());
-        break;
-      case JsonValue::Kind::kDouble:
-        values.emplace_back(v.double_value());
-        break;
-      case JsonValue::Kind::kString:
-        values.emplace_back(v.string_value());
-        break;
-      default:
-        return Status::InvalidArgument(
-            "event values must be null, number, or string");
-    }
-  }
+  const std::vector<JsonValue>& wire_items = wire_values.items();
   // Unknown names map to an out-of-range id on purpose: the engine's own
   // ingest policy then quarantines the event (kUnknownType), identical to
-  // a library caller handing in a corrupt type id.
-  TypeId type_id = registry.Lookup(items[0].string_value());
-  if (type_id == kInvalidTypeId) type_id = registry.num_types();
+  // a library caller handing in a corrupt type id. A known type's schema
+  // is checked here, because operators read values by position and type
+  // unchecked.
+  const std::string& type_name = items[0].string_value();
+  TypeId type_id = registry.Lookup(type_name);
+  const Schema* schema = nullptr;
+  if (type_id == kInvalidTypeId) {
+    type_id = registry.num_types();
+  } else {
+    schema = &registry.type(type_id).schema;
+    if (wire_items.size() != static_cast<size_t>(schema->num_attributes())) {
+      return Status::InvalidArgument(
+          "event row of type '" + type_name + "' has " +
+          std::to_string(wire_items.size()) + " values; its schema has " +
+          std::to_string(schema->num_attributes()));
+    }
+  }
+  std::vector<Value> values;
+  values.reserve(wire_items.size());
+  for (size_t k = 0; k < wire_items.size(); ++k) {
+    const ValueType want = schema != nullptr
+                               ? schema->attribute(static_cast<int>(k)).type
+                               : ValueType::kNull;
+    if (AppendValue(wire_items[k], want, &values)) continue;
+    if (schema == nullptr) {
+      return Status::InvalidArgument(
+          "event values must be null, number, or string");
+    }
+    return Status::InvalidArgument(
+        "event row of type '" + type_name + "': value " + std::to_string(k) +
+        " does not fit attribute '" +
+        schema->attribute(static_cast<int>(k)).name + "' of type " +
+        ValueTypeName(want));
+  }
   *out = interval
              ? MakeComplexEvent(type_id, start, end, std::move(values))
              : MakeEvent(type_id, start, std::move(values));

@@ -8,6 +8,8 @@
 //    "options":{"pattern_engine":"compiled","ingest":"reorder",
 //    "reorder_slack":3,"metrics":"operator","max_pending_events":4096,
 //    "push_down":true,"push_predicates":true,"default_within":60}}
+//                                        pattern_engine is "interpreted"
+//                                        (default) or "compiled"
 //   {"cmd":"ingest","tenant":"t1","events":[["Tick",3,[1,7,0]], ...]}
 //   {"cmd":"flush","tenant":"t1"}        drain everything incl. the open tick
 //   {"cmd":"poll","tenant":"t1"}         collect outputs without draining
@@ -28,12 +30,15 @@
 //   [type_name, start_time, end_time, [values...]]  interval event
 //
 // Values are JSON ints, doubles, strings, or null, positionally matching
-// the type's schema. A row whose type name the tenant's registry does not
-// know still decodes — to an out-of-range TypeId — so the *engine's*
-// ingest policy classifies it (kUnknownType quarantine), exactly as it
-// would an in-process event with a corrupt type id. This keeps a tenant
-// fed garbage byte-identical, counters included, to a library run fed the
-// same garbage.
+// the type's schema. A row of a known type must fit that schema — the
+// same arity, numbers in numeric attributes (integral ones in int
+// attributes), strings in string attributes, null anywhere — or the whole
+// ingest is refused with I423. A row whose type name the tenant's
+// registry does not know still decodes — to an out-of-range TypeId — so
+// the *engine's* ingest policy classifies it (kUnknownType quarantine),
+// exactly as it would an in-process event with a corrupt type id. This
+// keeps a tenant fed garbage byte-identical, counters included, to a
+// library run fed the same garbage.
 
 #ifndef CAESAR_SERVER_PROTOCOL_H_
 #define CAESAR_SERVER_PROTOCOL_H_
@@ -78,9 +83,9 @@ JsonValue EncodeEventBatch(const EventBatch& events,
                            const TypeRegistry& registry);
 
 // Decodes one wire row against `registry`. Structurally broken rows (not
-// an array, non-numeric time, bad value kinds) fail with a Status; an
-// unknown type name succeeds with an out-of-range type id (see header
-// comment).
+// an array, non-numeric time, bad value kinds) and rows that do not fit
+// their known type's schema fail with a Status; an unknown type name
+// succeeds with an out-of-range type id (see header comment).
 Status DecodeEventRow(const JsonValue& row, const TypeRegistry& registry,
                       EventPtr* out);
 

@@ -58,8 +58,7 @@ Status ParseSessionConfig(const JsonValue* opts,
       if (!value.is_string() ||
           !ParsePatternEngine(value.string_value(), &out->pattern_engine)) {
         return Status::InvalidArgument(
-            "pattern_engine must be \"interpreted\", \"compiled\", or "
-            "\"auto\"");
+            "pattern_engine must be \"interpreted\" or \"compiled\"");
       }
     } else if (key == "ingest") {
       if (!value.is_string() ||

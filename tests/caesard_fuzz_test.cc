@@ -1,7 +1,8 @@
 // Protocol fuzz leg for caesard (ctest label: fuzz): a seeded frame-level
-// mutator throws truncated frames, hostile lengths, raw garbage, and
-// shape-broken JSON at a live daemon over real sockets. The properties
-// held are exactly the ISSUE of record for a network daemon:
+// mutator throws truncated frames, hostile lengths, raw garbage,
+// shape-broken JSON, and event rows that do not fit their type's schema
+// at a live daemon over real sockets. The properties held are the
+// contract of a network daemon:
 //
 //   1. the daemon never crashes — it stays alive through every volley;
 //   2. anything that parses far enough to answer gets a *coded* error
@@ -47,9 +48,38 @@ std::string BinaryFrame(std::string_view payload, uint32_t claimed_len) {
   return frame;
 }
 
+// The tenant the ingest mutations target: an int attribute that a WHERE
+// compares and a DERIVE does integer arithmetic on, so a value of the
+// wrong kind that got through would reach both.
+constexpr char kTenantModel[] =
+    "TYPE Temp(sensor int, celsius int);\n"
+    "TYPE Hot(sensor int, over int);\n"
+    "CONTEXTS c0 DEFAULT c0;\n"
+    "PARTITION BY sensor;\n"
+    "QUERY hot DERIVE Hot(t.sensor AS sensor, t.celsius - 90 AS over)\n"
+    "PATTERN Temp t WHERE t.celsius > 90 CONTEXT c0;\n";
+
+// An ingest for tenant "x" of one to three rows, each broken against the
+// Temp schema: wrong arity, or a value of the wrong kind.
+std::string SchemaBrokenIngest(std::mt19937& rng) {
+  const char* rows[] = {
+      R"(["Temp",5,[7,"hot"]])",  R"(["Temp",5,[7]])",
+      R"(["Temp",5,[]])",         R"(["Temp",5,[7,95,1]])",
+      R"(["Temp",5,[7,95.5]])",   R"(["Temp",5,["seven",95]])",
+      R"(["Temp",5,[7,1e300]])",  R"(["Temp",5,6,[7,"hot"]])",
+  };
+  std::uniform_int_distribution<int> row(0, 7);
+  std::string events = rows[row(rng)];
+  for (int n = std::uniform_int_distribution<int>(0, 2)(rng); n > 0; --n) {
+    events += std::string(",") + rows[row(rng)];
+  }
+  return "{\"cmd\":\"ingest\",\"tenant\":\"x\",\"events\":[" + events +
+         "]}\n";
+}
+
 // One hostile message, chosen by the dial.
 std::string Mutate(std::mt19937& rng) {
-  std::uniform_int_distribution<int> pick(0, 9);
+  std::uniform_int_distribution<int> pick(0, 10);
   switch (pick(rng)) {
     case 0:  // raw garbage, newline-terminated so the server must answer
       return RandomBytes(rng, 64) + "\n";
@@ -94,6 +124,8 @@ std::string Mutate(std::mt19937& rng) {
     }
     case 8:  // unterminated line (no newline): server must wait, we close
       return RandomBytes(rng, 48);
+    case 9:  // rows that do not fit the live tenant's schema
+      return SchemaBrokenIngest(rng);
     default: {  // interleaved: garbage line then a valid ping line
       return RandomBytes(rng, 24) + "\n{\"cmd\":\"ping\"}\n";
     }
@@ -104,6 +136,14 @@ TEST(CaesardProtocolFuzz, HostileFramesNeverKillTheDaemon) {
   Daemon daemon({"--deterministic", "--workers=2", "--max-frame-bytes=65536",
                  "--max-tenants=4"});
   ASSERT_TRUE(daemon.valid());
+  {
+    Client setup(daemon.port());
+    ASSERT_TRUE(setup.connected());
+    JsonValue reg = Req("register", "x");
+    reg.Set("model", JsonValue::String(kTenantModel));
+    auto registered = setup.Call(reg);
+    ASSERT_TRUE(registered.ok() && IsOk(registered.value()));
+  }
 
   std::mt19937 rng(0xC4E5A2u);
   constexpr int kIterations = 200;
@@ -142,6 +182,13 @@ TEST(CaesardProtocolFuzz, HostileFramesNeverKillTheDaemon) {
   }());
   ASSERT_TRUE(bad_cmd.ok());
   EXPECT_EQ(testing::ErrorCode(bad_cmd.value()), "I423");
+
+  // The tenant the schema-broken rows targeted still takes good rows.
+  JsonValue good = Req("ingest", "x");
+  good.Set("events", ParseJson(R"([["Temp",9,[7,95]]])").value());
+  auto accepted = client.Call(good);
+  ASSERT_TRUE(accepted.ok()) << accepted.status();
+  EXPECT_TRUE(IsOk(accepted.value())) << accepted.value().Dump();
 
   EXPECT_TRUE(daemon.Alive());
   ASSERT_TRUE(IsOk(client.Call(Req("shutdown")).value()));

@@ -487,12 +487,99 @@ TEST(CaesardProtocol, LifecycleAndCodedErrors) {
     bad_option.Set("options", std::move(opts));
     EXPECT_EQ(ErrorCode(client.Call(bad_option).value()), "I423") << knob;
   }
+  // The option alone picks the pattern matcher: "auto" is not a value.
+  EXPECT_EQ(ErrorCode(client.Call(RegisterReq("t2", "auto")).value()),
+            "I423");
 
   // Teardown frees the name for re-registration.
   EXPECT_TRUE(IsOk(client.Call(Req("teardown", "t1")).value()));
   EXPECT_TRUE(IsOk(client.Call(RegisterReq("t1", "interpreted")).value()));
 
   // Wire shutdown: daemon exits 0 on its own.
+  EXPECT_TRUE(IsOk(client.Call(Req("shutdown")).value()));
+  EXPECT_TRUE(daemon.ShutdownCleanly());
+}
+
+// A row that does not fit its type's schema is refused with I423 before
+// anything is admitted, so it never reaches an operator: a string compared
+// against an int there aborts the daemon and every tenant with it.
+TEST(CaesardProtocol, SchemaBrokenRowsAreRefusedAndTheDaemonSurvives) {
+  constexpr char kTempModel[] =
+      "TYPE Temp(sensor int, celsius int);\n"
+      "TYPE Hot(sensor int, over int);\n"
+      "CONTEXTS c0 DEFAULT c0;\n"
+      "PARTITION BY sensor;\n"
+      "QUERY hot DERIVE Hot(t.sensor AS sensor, t.celsius - 90 AS over)\n"
+      "PATTERN Temp t WHERE t.celsius > 90 CONTEXT c0;\n";
+  Daemon daemon({"--deterministic", "--workers=2"});
+  ASSERT_TRUE(daemon.valid());
+  Client client(daemon.port());
+  ASSERT_TRUE(client.connected());
+  JsonValue reg = Req("register", "temps");
+  reg.Set("model", JsonValue::String(kTempModel));
+  ASSERT_TRUE(IsOk(client.Call(reg).value()));
+
+  // Every ingest returns its derived rows; collect the ones that succeed.
+  std::vector<std::string> derived;
+  auto call = [&](const JsonValue& request) {
+    auto response = client.Call(request);
+    EXPECT_TRUE(response.ok()) << response.status();
+    if (!response.ok()) return JsonValue();
+    if (const JsonValue* rows = response.value().Find("derived")) {
+      for (const JsonValue& row : rows->items()) derived.push_back(row.Dump());
+    }
+    return response.value();
+  };
+  auto ingest = [&](const char* events) {
+    JsonValue request = Req("ingest", "temps");
+    request.Set("events", ParseJson(events).value());
+    return call(request);
+  };
+
+  ASSERT_TRUE(IsOk(ingest(R"([["Temp",1,[7,95]]])")));
+  // The last batch puts a good row first: it must not be admitted either.
+  const char* broken[] = {
+      R"([["Temp",2,[7,"hot"]]])",   R"([["Temp",2,[7]]])",
+      R"([["Temp",2,[7,95,1]]])",    R"([["Temp",2,[7,95.5]]])",
+      R"([["Temp",2,["seven",95]]])", R"([["Temp",2,[7,96]],["Temp",2,[]]])",
+  };
+  for (const char* events : broken) {
+    JsonValue response = ingest(events);
+    EXPECT_FALSE(IsOk(response)) << events;
+    EXPECT_EQ(ErrorCode(response), "I423") << events;
+    const JsonValue* error = response.Find("error");
+    EXPECT_TRUE(error != nullptr &&
+                error->string_value().find("events[") != std::string::npos)
+        << response.Dump();
+    ASSERT_TRUE(daemon.Alive()) << "daemon died on " << events;
+    auto pong = client.Call(Req("ping"));
+    ASSERT_TRUE(pong.ok() && IsOk(pong.value())) << events;
+  }
+  // Good rows on the same tenant still flow; 93.0 decodes to an int, so
+  // the integer subtraction in the DERIVE sees an int.
+  ASSERT_TRUE(IsOk(ingest(R"([["Temp",2,[7,96]],["Temp",3,[8,93.0]]])")));
+  ASSERT_TRUE(IsOk(call(Req("flush", "temps"))));
+
+  // Exactly what an in-process run over the good rows derives.
+  TypeRegistry registry;
+  auto model = ParseModel(kTempModel, &registry);
+  ASSERT_TRUE(model.ok()) << model.status();
+  auto engine = Engine::Create(model.value(), PlanOptions{}, EngineOptions{});
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  const TypeId temp = registry.Lookup("Temp");
+  EventBatch good = {
+      MakeEvent(temp, 1, {Value(int64_t{7}), Value(int64_t{95})}),
+      MakeEvent(temp, 2, {Value(int64_t{7}), Value(int64_t{96})}),
+      MakeEvent(temp, 3, {Value(int64_t{8}), Value(int64_t{93})})};
+  EventBatch expected;
+  ASSERT_TRUE(engine.value()->Run(good, &expected).ok());
+  std::vector<std::string> expected_rows;
+  for (const EventPtr& event : expected) {
+    expected_rows.push_back(EncodeEventRow(*event, registry).Dump());
+  }
+  EXPECT_EQ(expected_rows.size(), 3u);
+  EXPECT_EQ(derived, expected_rows);
+
   EXPECT_TRUE(IsOk(client.Call(Req("shutdown")).value()));
   EXPECT_TRUE(daemon.ShutdownCleanly());
 }

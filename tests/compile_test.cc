@@ -3,8 +3,9 @@
 //
 // The compile corpus (tests/compile_corpus/*.caesar) pins the compiler's
 // deterministic dump byte-for-byte, one fixture per pattern shape: SEQ
-// depth 1 (pass-through) through 4, interior and leading negation, the
-// default WITHIN, and a consumer chain over a derived type. Goldens are
+// depth 1 (pass-through) through 4, a 17-position SEQ, interior and
+// leading negation, the default WITHIN, and a consumer chain over a
+// derived type. Goldens are
 // regenerable with `caesar_lint --dump-automaton <fixture>`. Operator
 // semantics are pinned differentially against the interpreted PatternOp —
 // the two must render byte-identically on the same input.
@@ -24,10 +25,13 @@
 #include "compile/compiler.h"
 #include "expr/compiled.h"
 #include "expr/parser.h"
+#include "oracle/differential.h"
+#include "oracle/oracle.h"
 #include "plan/translator.h"
 #include "query/model.h"
 #include "query/parser.h"
 #include "runtime/context_vector.h"
+#include "runtime/engine.h"
 
 namespace caesar {
 namespace {
@@ -176,13 +180,24 @@ class CompileTest : public ::testing::Test {
   OpExecContext ctx_;
 };
 
-TEST_F(CompileTest, WidePatternIsUnsupported) {
-  PatternOpConfig config;
-  config.positions.resize(kMaxCompiledPositions + 1);
-  for (auto& position : config.positions) position.type_id = a_type_;
-  EXPECT_FALSE(CompileSupported(config));
-  config.positions.resize(kMaxCompiledPositions);
-  EXPECT_TRUE(CompileSupported(config));
+TEST_F(CompileTest, WidePatternCompilesEveryPosition) {
+  // No width cap: a 17-position SEQ alternating A/B is one transition per
+  // position, and the dispatch table covers every non-initial state.
+  auto config = std::make_shared<PatternOpConfig>();
+  config->positions.resize(17);
+  for (size_t i = 0; i < config->positions.size(); ++i) {
+    config->positions[i].type_id = i % 2 == 0 ? a_type_ : b_type_;
+  }
+  config->output_type = out_type_;
+  config->within = 100;
+  config->description = "SEQ(A, B, ... x17)";
+  auto automaton = CompilePattern(config);
+  ASSERT_EQ(automaton->transitions.size(), 17u);
+  EXPECT_EQ(automaton->num_states(), 18);
+  ASSERT_NE(automaton->StatesAwaiting(a_type_), nullptr);
+  ASSERT_NE(automaton->StatesAwaiting(b_type_), nullptr);
+  EXPECT_EQ(automaton->StatesAwaiting(a_type_)->size(), 8u);
+  EXPECT_EQ(automaton->StatesAwaiting(b_type_)->size(), 8u);
 }
 
 TEST_F(CompileTest, PredicatesSortByExpectedCostPerRejection) {
@@ -260,6 +275,101 @@ TEST_F(CompileTest, CostEstimatesMatchInterpretedOperator) {
   CompiledPatternOp compiled(CompilePattern(config));
   EXPECT_EQ(compiled.UnitCost(), interpreted.UnitCost());
   EXPECT_EQ(compiled.Selectivity(), interpreted.Selectivity());
+}
+
+// ---- Wide patterns through the engine -------------------------------
+
+// SEQ of 17 positive positions over types P0..P16 with a negated Z between
+// p7 and p8 (18 positions), a cross-position guard, and two rounds of one
+// event per type: each position has at most two candidates, so partial
+// matches and the brute-force oracle stay small.
+std::string WideSeqModel() {
+  std::string model;
+  for (int k = 0; k < 17; ++k) {
+    model += "TYPE P" + std::to_string(k) + "(x int);\n";
+  }
+  model +=
+      "TYPE Z(x int);\n"
+      "TYPE Wide(first int, last int);\n"
+      "CONTEXTS idle DEFAULT idle;\n"
+      "QUERY wide\n"
+      "DERIVE Wide(p0.x AS first, p16.x AS last)\n"
+      "PATTERN SEQ(";
+  for (int k = 0; k < 17; ++k) {
+    if (k == 8) model += "NOT Z z, ";
+    model += "P" + std::to_string(k) + " p" + std::to_string(k) +
+             (k < 16 ? ", " : ") WITHIN 100\n");
+  }
+  model += "WHERE p1.x = p0.x + 1;\n";
+  return model;
+}
+
+std::string RenderStream(const EventBatch& events,
+                         const TypeRegistry& registry) {
+  std::string out;
+  for (const EventPtr& event : events) {
+    out += event->ToString(registry) + "\n";
+  }
+  return out;
+}
+
+TEST(WidePatternEngineTest, CompiledMatchesInterpretedAndOracle) {
+  TypeRegistry registry;
+  auto model = ParseModel(WideSeqModel(), &registry);
+  ASSERT_TRUE(model.ok()) << model.status();
+  auto plan = TranslateModel(model.value(), PlanOptions{});
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  // Round r puts P_k at t = 1 + 40r + 2k with x = 10r + k. A Z between
+  // round 1's p7 and p8 kills every match taking p8 from round 1.
+  EventBatch input;
+  for (int r = 0; r < 2; ++r) {
+    for (int k = 0; k < 17; ++k) {
+      if (r == 1 && k == 8) {
+        input.push_back(
+            MakeEvent(registry.Lookup("Z"), 56, {Value(int64_t{0})}));
+      }
+      input.push_back(MakeEvent(registry.Lookup("P" + std::to_string(k)),
+                                1 + 40 * r + 2 * k,
+                                {Value(int64_t{10 * r + k})}));
+    }
+  }
+
+  auto run = [&](PatternEngine engine, StatisticsReport* report) {
+    EngineOptions options;
+    options.pattern_engine = engine;
+    options.metrics = MetricsGranularity::kOperator;
+    Engine instance(plan.value().Clone(), options);
+    EventBatch derived;
+    EXPECT_TRUE(instance.Run(input, &derived).ok());
+    if (report != nullptr) *report = instance.CollectStatistics();
+    return derived;
+  };
+  StatisticsReport compiled_report;
+  const EventBatch interpreted = run(PatternEngine::kInterpreted, nullptr);
+  const EventBatch compiled = run(PatternEngine::kCompiled, &compiled_report);
+  auto oracle = RunReferenceModel(model.value(), input);
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+
+  // Round 0 supplies positions [0, k), round 1 the rest: k = 1 fails the
+  // guard and k <= 8 takes p8 after the Z, leaving k = 9..17.
+  EXPECT_EQ(compiled.size(), 9u);
+  EXPECT_EQ(RenderStream(compiled, registry),
+            RenderStream(interpreted, registry));
+  EXPECT_EQ(CanonicalByTick(compiled, registry),
+            CanonicalByTick(oracle.value(), registry));
+
+  // The option alone picked the matcher: the 18-position pattern runs as
+  // an automaton, not as an interpreted fallback.
+  int compiled_rows = 0;
+  for (const QueryOperatorStats& row : compiled_report.operators) {
+    EXPECT_NE(row.kind, Operator::Kind::kPattern) << row.description;
+    if (row.kind != Operator::Kind::kCompiledPattern) continue;
+    ++compiled_rows;
+    EXPECT_EQ(row.description.rfind("CompiledPattern: ", 0), 0u)
+        << row.description;
+  }
+  EXPECT_EQ(compiled_rows, 1);
 }
 
 }  // namespace

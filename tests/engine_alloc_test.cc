@@ -92,10 +92,16 @@ std::string GatedModel(int num_queries, const std::string& context) {
   return text;
 }
 
+// gtest names each case after the parameter's bytes. Implicit padding after
+// `metrics` would hold whatever the stack held, a different name each run;
+// the explicit zero bytes keep the names fixed.
 struct Leg {
+  Leg(MetricsGranularity m, int threads) : metrics(m), num_threads(threads) {}
   MetricsGranularity metrics;
+  int8_t zero_[3] = {};
   int num_threads;
 };
+static_assert(sizeof(Leg) == 8, "Leg must have no implicit padding");
 
 // Allocations of one steady-state Run over `num_ticks` ticks of kSegments
 // partitions, after a warm-up Run of the same shape.

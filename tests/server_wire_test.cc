@@ -158,7 +158,9 @@ TEST(EventRowCodec, UnknownTypeDecodesOutOfRange) {
 
 TEST(EventRowCodec, RejectsStructuralBreakage) {
   TypeRegistry registry;
-  registry.Register("R", {}).value();
+  // One attribute, so the one-value rows below fail on their value kind,
+  // not on arity.
+  registry.Register("R", {{"i", ValueType::kInt}}).value();
   EventPtr decoded;
   const char* bad[] = {
       R"("not an array")",     R"([])",
@@ -172,6 +174,51 @@ TEST(EventRowCodec, RejectsStructuralBreakage) {
         DecodeEventRow(ParseJson(doc).value(), registry, &decoded).ok())
         << doc;
   }
+}
+
+TEST(EventRowCodec, RejectsRowsThatDoNotFitTheSchema) {
+  TypeRegistry registry;
+  registry
+      .Register("Temp", {{"sensor", ValueType::kInt},
+                         {"celsius", ValueType::kDouble},
+                         {"label", ValueType::kString}})
+      .value();
+  EventPtr decoded;
+  const char* bad[] = {
+      R"(["Temp",1,[7,20.5]])",            // too few values
+      R"(["Temp",1,[7,20.5,"a","b"]])",    // too many values
+      R"(["Temp",1,[]])",                  // none at all
+      R"(["Temp",1,["seven",20.5,"a"]])",  // string in an int attribute
+      R"(["Temp",1,[7,"hot","a"]])",       // string in a double attribute
+      R"(["Temp",1,[7,20.5,3]])",          // int in a string attribute
+      R"(["Temp",1,[7,20.5,3.5]])",        // double in a string attribute
+      R"(["Temp",1,[7.5,20.5,"a"]])",      // fraction in an int attribute
+      R"(["Temp",1,[1e300,20.5,"a"]])",    // beyond int64 in an int one
+      R"(["Temp",1,3,[7,20.5]])",          // interval form, short row
+  };
+  for (const char* doc : bad) {
+    Status status =
+        DecodeEventRow(ParseJson(doc).value(), registry, &decoded);
+    EXPECT_FALSE(status.ok()) << doc;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << doc;
+  }
+
+  // Null fits every attribute; an int in a double attribute stays an int
+  // (wire and batch runs must stay byte-identical); an integral double in
+  // an int attribute decodes to an int, so integer arithmetic can use it.
+  ASSERT_TRUE(DecodeEventRow(ParseJson(R"(["Temp",1,[null,null,null]])")
+                                 .value(),
+                             registry, &decoded)
+                  .ok());
+  ASSERT_TRUE(
+      DecodeEventRow(ParseJson(R"(["Temp",1,[7.0,20,"a"]])").value(),
+                     registry, &decoded)
+          .ok());
+  EXPECT_EQ(decoded->value(0).type(), ValueType::kInt);
+  EXPECT_EQ(decoded->value(0).AsInt(), 7);
+  EXPECT_EQ(decoded->value(1).type(), ValueType::kInt);
+  EXPECT_EQ(EncodeEventRow(*decoded, registry).Dump(),
+            R"(["Temp",1,[7,20,"a"]])");
 }
 
 // --- Framing over a socketpair ----------------------------------------------

@@ -20,10 +20,9 @@
 //   caesar_lint --dump-automaton FILE...
 //     Prints the compiled pattern automaton (compile/compiler.h) for every
 //     pattern query in each model, in the deterministic text form the
-//     compile_corpus goldens pin. Patterns past the compiler's position
-//     limit print a "fallback: interpreted" line instead. With
-//     --no-absint the abstract-interpretation pass is skipped, matching a
-//     compiler without it byte for byte.
+//     compile_corpus goldens pin. With --no-absint the
+//     abstract-interpretation pass is skipped, matching a compiler without
+//     it byte for byte.
 //   caesar_lint --dump-facts FILE...
 //     Prints the abstract interpreter's per-state interval facts
 //     (analysis/absint.h) for every pattern query in each model —
