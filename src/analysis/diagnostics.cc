@@ -49,12 +49,12 @@ const char* DiagCodeName(DiagCode code) {
     case DiagCode::kP302TrailingNegation: return "P302";
     case DiagCode::kP303MultiNegatedPredicate: return "P303";
     case DiagCode::kP304PlanTranslation: return "P304";
-    case DiagCode::kI401OutOfOrder: return "I401";
     case DiagCode::kI402LateBeyondSlack: return "I402";
     case DiagCode::kI403UnknownType: return "I403";
     case DiagCode::kI404NegativeTime: return "I404";
     case DiagCode::kI405InvertedInterval: return "I405";
     case DiagCode::kI406MalformedCsv: return "I406";
+    case DiagCode::kI407SchemaMismatch: return "I407";
     case DiagCode::kI410TornWalTail: return "I410";
     case DiagCode::kI411CheckpointCrcMismatch: return "I411";
     case DiagCode::kI412WalRecordCrcMismatch: return "I412";
@@ -101,12 +101,12 @@ const char* DiagCodeTitle(DiagCode code) {
     case DiagCode::kP303MultiNegatedPredicate:
       return "predicate spans negated variables";
     case DiagCode::kP304PlanTranslation: return "plan translation failed";
-    case DiagCode::kI401OutOfOrder: return "out of order";
     case DiagCode::kI402LateBeyondSlack: return "late beyond slack";
     case DiagCode::kI403UnknownType: return "unknown type id";
     case DiagCode::kI404NegativeTime: return "negative time";
     case DiagCode::kI405InvertedInterval: return "inverted interval";
     case DiagCode::kI406MalformedCsv: return "malformed CSV";
+    case DiagCode::kI407SchemaMismatch: return "schema mismatch";
     case DiagCode::kI410TornWalTail: return "torn WAL tail truncated";
     case DiagCode::kI411CheckpointCrcMismatch:
       return "checkpoint CRC mismatch, skipped";

@@ -66,13 +66,14 @@ enum class DiagCode : int16_t {
   // its number is not reused.
 
   // I4xx — ingest and IO (shared vocabulary with QuarantineReason and the
-  // tolerant CSV reader).
-  kI401OutOfOrder,
+  // tolerant CSV reader). I401 is retired (the drop policy became reorder
+  // at slack 0, which reports I402); its number is not reused.
   kI402LateBeyondSlack,
   kI403UnknownType,
   kI404NegativeTime,
   kI405InvertedInterval,
   kI406MalformedCsv,
+  kI407SchemaMismatch,
   // Recovery degradation (durability/): surfaced through the recovered
   // engine's StatisticsReport so a lossy restart is reported, not silent.
   kI410TornWalTail,          // incomplete final WAL record truncated

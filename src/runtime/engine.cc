@@ -22,6 +22,16 @@ uint64_t HashCombine(uint64_t seed, uint64_t value) {
   return seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
+// Whether a value of kind `value` fits an attribute of type `attribute`,
+// by the rule the wire decoder applies (server/protocol.cc): null fits
+// every attribute, an int fits a double one, and an untyped attribute
+// takes any value.
+bool FitsAttribute(ValueType value, ValueType attribute) {
+  return value == attribute || value == ValueType::kNull ||
+         attribute == ValueType::kNull ||
+         (value == ValueType::kInt && attribute == ValueType::kDouble);
+}
+
 // Plan-order (query, op) rows of the per-operator statistics.
 size_t NumOperatorRows(const ExecutablePlan& plan) {
   size_t rows = 0;
@@ -258,11 +268,6 @@ Status EngineOptions::Validate() const {
         "EngineOptions::gc_horizon must be >= 0, got " +
         std::to_string(gc_horizon));
   }
-  if (timeline_capacity < 1) {
-    return Status::InvalidArgument(
-        "EngineOptions::timeline_capacity must be >= 1, got " +
-        std::to_string(timeline_capacity));
-  }
   CAESAR_RETURN_IF_ERROR(durability.Validate());
   return Status::Ok();
 }
@@ -300,7 +305,7 @@ Result<std::unique_ptr<Engine>> Engine::Create(const CaesarModel& model,
 Engine::Engine(ExecutablePlan plan, EngineOptions options)
     : plan_(std::move(plan)),
       options_(std::move(options)),
-      quarantine_(options_.quarantine_capacity) {
+      quarantine_(kQuarantineCapacity) {
   CAESAR_CHECK_OK(options_.Validate());
   RewritePatternEngine(&plan_, options_.pattern_engine,
                        PatternCompileOptions{options_.absint});
@@ -341,7 +346,7 @@ Engine::Engine(ExecutablePlan plan, EngineOptions options)
         "transaction_events", "Input events per stream transaction");
     hist_transaction_derived_ = registry_->AddHistogram(
         "transaction_derived", "Derived events per stream transaction");
-    timeline_ = std::make_unique<Timeline>(options_.timeline_capacity);
+    timeline_ = std::make_unique<Timeline>(kTimelineCapacity);
   }
   if (options_.metrics >= MetricsGranularity::kOperator) {
     op_histograms_.assign(
@@ -457,17 +462,28 @@ bool Engine::ClassifyMalformed(const Event& event,
     *reason = QuarantineReason::kInvertedInterval;
     return true;
   }
+  const Schema& schema = plan_.registry->type(event.type_id()).schema;
+  const std::vector<Value>& values = event.values();
+  bool fits = values.size() == static_cast<size_t>(schema.num_attributes());
+  for (size_t k = 0; fits && k < values.size(); ++k) {
+    fits = FitsAttribute(values[k].type(),
+                         schema.attribute(static_cast<int>(k)).type);
+  }
+  if (!fits) {
+    *reason = QuarantineReason::kSchemaMismatch;
+    return true;
+  }
   return false;
 }
 
 void Engine::QuarantineEvent(EventPtr event, QuarantineReason reason) {
-  // Partition attribution needs a registered type; unknown types land in
-  // partition 0 (unpartitionable).
-  uint64_t key = reason == QuarantineReason::kUnknownType
+  // Partition attribution needs a registered type and values that fit its
+  // schema; other events land in partition 0 (unpartitionable).
+  uint64_t key = reason == QuarantineReason::kUnknownType ||
+                         reason == QuarantineReason::kSchemaMismatch
                      ? 0
                      : PartitionKeyOf(*event);
-  if (reason == QuarantineReason::kOutOfOrder ||
-      reason == QuarantineReason::kLateBeyondSlack) {
+  if (reason == QuarantineReason::kLateBeyondSlack) {
     ++ingest_metrics_.dropped_late;
   }
   ++ingest_metrics_.quarantined;
@@ -487,7 +503,7 @@ Status Engine::IngestBatch(const EventBatch& input, EventBatch* admitted,
             "strict ingest: malformed event at index " + std::to_string(i) +
             " (" + QuarantineReasonName(reason) + ", " +
             DiagCodeName(QuarantineDiagCode(reason)) +
-            "); use IngestPolicy::kDrop or kReorder to quarantine instead");
+            "); use IngestPolicy::kReorder to quarantine instead");
       }
     }
     ptrdiff_t unordered = FirstOutOfOrderIndex(input);
@@ -499,6 +515,18 @@ Status Engine::IngestBatch(const EventBatch& input, EventBatch* admitted,
           std::to_string(input[unordered - 1]->time()) +
           "; use IngestPolicy::kReorder with a lateness slack to "
           "re-sequence bounded disorder");
+    }
+    // The batch is ordered, so its first event is the only one that can
+    // fall behind the high-water mark of earlier Runs.
+    if (any_tick_processed_ && !input.empty() &&
+        input.front()->time() < last_processed_tick_) {
+      return Status::FailedPrecondition(
+          "strict ingest: input not time-ordered at index 0: time " +
+          std::to_string(input.front()->time()) +
+          " is before the high-water mark " +
+          std::to_string(last_processed_tick_) +
+          " of earlier Runs; use IngestPolicy::kReorder to drop late "
+          "events instead");
     }
     ingest_metrics_.admitted += static_cast<int64_t>(input.size());
     return Status::Ok();
@@ -519,31 +547,18 @@ Status Engine::IngestBatch(const EventBatch& input, EventBatch* admitted,
       continue;
     }
     Timestamp t = event->time();
-    if (options_.ingest_policy == IngestPolicy::kDrop) {
-      if (drop_any_admitted_ && t < drop_max_admitted_) {
-        note_lateness(drop_max_admitted_, t);
-        QuarantineEvent(event, QuarantineReason::kOutOfOrder);
-        continue;
-      }
-      drop_any_admitted_ = true;
-      drop_max_admitted_ = t;
-      admitted->push_back(event);
-    } else {  // kReorder
-      bool late = reorder_->any_seen() && t < reorder_->max_seen();
-      if (late) note_lateness(reorder_->max_seen(), t);
-      if (!reorder_->Push(event, admitted)) {
-        QuarantineEvent(event, QuarantineReason::kLateBeyondSlack);
-        continue;
-      }
-      if (late) ++ingest_metrics_.reordered;
+    bool late = reorder_->any_seen() && t < reorder_->max_seen();
+    if (late) note_lateness(reorder_->max_seen(), t);
+    if (!reorder_->Push(event, admitted)) {
+      QuarantineEvent(event, QuarantineReason::kLateBeyondSlack);
+      continue;
     }
+    if (late) ++ingest_metrics_.reordered;
   }
-  if (reorder_ != nullptr) {
-    // Run processes its batch to completion: end of batch is end of stream
-    // for everything still buffered. The high-water mark persists, so a
-    // later Run cannot sneak events underneath what was already emitted.
-    reorder_->Flush(admitted);
-  }
+  // Run processes its batch to completion: end of batch is end of stream
+  // for everything still buffered. The high-water mark persists, so a
+  // later Run cannot sneak events underneath what was already emitted.
+  reorder_->Flush(admitted);
   ingest_metrics_.admitted += static_cast<int64_t>(admitted->size());
   stats->max_observed_lateness = run_max_lateness;
   *effective = admitted;
@@ -1078,7 +1093,9 @@ void Engine::HandleWindowTransitions(PartitionState* partition,
 
 namespace {
 
-constexpr uint8_t kSnapshotVersion = 1;    // per-batch commit snapshot
+// Bumped whenever the snapshot layout or the quarantine-reason numbering
+// changes, so an older snapshot is refused rather than misread.
+constexpr uint8_t kSnapshotVersion = 2;    // per-batch commit snapshot
 constexpr uint8_t kCheckpointVersion = 2;  // full checkpoint payload
 
 void SaveTransition(StateWriter* w, const TransitionState& t) {
@@ -1126,8 +1143,6 @@ std::string Engine::SerializeIngestSnapshot() const {
   w.I64(ingest_metrics_.dropped_late);
   w.I64(ingest_metrics_.quarantined);
   w.I64(ingest_metrics_.max_observed_lateness);
-  w.Bool(drop_any_admitted_);
-  w.I64(drop_max_admitted_);
   w.Bool(reorder_ != nullptr);
   if (reorder_ != nullptr) reorder_->Save(&w);
   quarantine_.Save(&w);
@@ -1150,8 +1165,6 @@ Status Engine::RestoreIngestSnapshot(std::string_view snapshot) {
   ingest_metrics_.dropped_late = r.I64();
   ingest_metrics_.quarantined = r.I64();
   ingest_metrics_.max_observed_lateness = r.I64();
-  drop_any_admitted_ = r.Bool();
-  drop_max_admitted_ = r.I64();
   bool has_reorder = r.Bool();
   if (r.ok() && has_reorder != (reorder_ != nullptr)) {
     return Status::DataLoss(

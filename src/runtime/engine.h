@@ -143,22 +143,15 @@ struct EngineOptions {
   // here on destruction.
   std::string trace_path;
 
-  // Ring-buffer capacity of the activity timeline (points = ticks; older
-  // points are dropped but stay counted). Must be >= 1.
-  size_t timeline_capacity = 512;
-
   // How Run treats disorder and malformed events (see runtime/ingest.h):
-  // kStrict rejects the batch with a Status, kDrop/kReorder degrade
-  // gracefully and quarantine what cannot be processed.
+  // kStrict rejects the batch with a Status, kReorder degrades gracefully
+  // and quarantines what cannot be processed.
   IngestPolicy ingest_policy = IngestPolicy::kStrict;
 
   // Maximum admissible lateness in ticks under kReorder (>= 0). Events
-  // later than this are dropped and quarantined.
+  // later than this are dropped and quarantined; at 0 every event older
+  // than the newest admitted time stamp is.
   Timestamp reorder_slack = 0;
-
-  // How many quarantined events the dead-letter sink retains in full
-  // (counters stay exact past this bound).
-  size_t quarantine_capacity = 1024;
 
   // Static model analysis during the model-based Create (see AnalysisMode).
   AnalysisMode analysis = AnalysisMode::kOff;
@@ -186,7 +179,7 @@ struct EngineOptions {
 
   // Checks option invariants (num_threads >= 1, reorder_slack >= 0, accel
   // and seconds_per_tick positive, gc_interval >= 1, gc_horizon >= 0,
-  // timeline_capacity >= 1, durability options consistent).
+  // durability options consistent).
   // Returned (not aborted) so callers can surface configuration errors;
   // Engine::Create is the validating construction path.
   Status Validate() const;
@@ -301,12 +294,13 @@ class Engine {
 
   // Processes an input stream to completion and returns run statistics.
   // The input passes through the configured ingest policy first: under
-  // kStrict, disorder or a malformed event rejects the whole batch with a
-  // descriptive error before any engine state is mutated; under
-  // kDrop/kReorder the batch is repaired (see runtime/ingest.h) and the
+  // kStrict, disorder (within the batch, or an event older than the last
+  // tick an earlier Run processed) or a malformed event rejects the whole
+  // batch with a descriptive error before any engine state is mutated;
+  // under kReorder the batch is repaired (see runtime/ingest.h) and the
   // degradation is reported in the returned RunStats. Derived events are
   // appended to `outputs` if non-null (in deterministic order). May be
-  // called repeatedly; state — including the reorder high-water mark —
+  // called repeatedly; state — including the time high-water mark —
   // carries over.
   Result<RunStats> Run(const EventBatch& input,
                        EventBatch* outputs = nullptr);
@@ -374,7 +368,10 @@ class Engine {
   Status IngestBatch(const EventBatch& input, EventBatch* admitted,
                      const EventBatch** effective, RunStats* stats);
 
-  // Classifies a malformed event, or returns false if it is well-formed.
+  // Classifies a malformed event, or returns false if it is well-formed:
+  // a registered type, a non-negative time, an ordered interval, and values
+  // that fit the type's schema (one per attribute; null fits any attribute
+  // and an int fits a double one, as on the wire).
   bool ClassifyMalformed(const Event& event, QuarantineReason* reason) const;
 
   // Quarantines `event` and maintains the cumulative counters.
@@ -484,11 +481,8 @@ class Engine {
   std::vector<ChainScratch> chain_scratch_;
 
   // Ingest state (scheduler thread only). The reorder buffer exists iff
-  // the policy is kReorder; the drop high-water mark backs kDrop. Both
-  // persist across Run calls.
+  // the policy is kReorder; it persists across Run calls.
   std::unique_ptr<ReorderBuffer> reorder_;
-  bool drop_any_admitted_ = false;
-  Timestamp drop_max_admitted_ = 0;
   QuarantineSink quarantine_;
   IngestMetrics ingest_metrics_;
 
@@ -503,7 +497,11 @@ class Engine {
   bool replaying_ = false;  // WAL replay re-enters Run; nothing re-logged
   bool recovered_ = false;
   std::vector<std::string> recovery_diagnostics_;
-  // Last tick handed to the scheduler loop (checkpoint cadence + header).
+  // Last tick handed to the scheduler loop: the engine's time high-water
+  // mark, kept under every policy. Strict ingest refuses a batch whose
+  // first event is older (equal time stays admissible, so a flushed tick
+  // can reopen); kReorder's buffer holds the same mark as its last
+  // released time. Also the checkpoint cadence and header.
   Timestamp last_processed_tick_ = 0;
   bool any_tick_processed_ = false;
 

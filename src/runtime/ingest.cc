@@ -10,8 +10,6 @@ const char* IngestPolicyName(IngestPolicy policy) {
   switch (policy) {
     case IngestPolicy::kStrict:
       return "strict";
-    case IngestPolicy::kDrop:
-      return "drop";
     case IngestPolicy::kReorder:
       return "reorder";
   }
@@ -20,8 +18,6 @@ const char* IngestPolicyName(IngestPolicy policy) {
 
 const char* QuarantineReasonName(QuarantineReason reason) {
   switch (reason) {
-    case QuarantineReason::kOutOfOrder:
-      return "out_of_order";
     case QuarantineReason::kLateBeyondSlack:
       return "late_beyond_slack";
     case QuarantineReason::kUnknownType:
@@ -30,14 +26,14 @@ const char* QuarantineReasonName(QuarantineReason reason) {
       return "negative_time";
     case QuarantineReason::kInvertedInterval:
       return "inverted_interval";
+    case QuarantineReason::kSchemaMismatch:
+      return "schema_mismatch";
   }
   return "?";
 }
 
 DiagCode QuarantineDiagCode(QuarantineReason reason) {
   switch (reason) {
-    case QuarantineReason::kOutOfOrder:
-      return DiagCode::kI401OutOfOrder;
     case QuarantineReason::kLateBeyondSlack:
       return DiagCode::kI402LateBeyondSlack;
     case QuarantineReason::kUnknownType:
@@ -46,8 +42,10 @@ DiagCode QuarantineDiagCode(QuarantineReason reason) {
       return DiagCode::kI404NegativeTime;
     case QuarantineReason::kInvertedInterval:
       return DiagCode::kI405InvertedInterval;
+    case QuarantineReason::kSchemaMismatch:
+      return DiagCode::kI407SchemaMismatch;
   }
-  return DiagCode::kI401OutOfOrder;
+  return DiagCode::kI402LateBeyondSlack;
 }
 
 void QuarantineSink::Add(EventPtr event, QuarantineReason reason,

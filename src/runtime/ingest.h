@@ -5,13 +5,15 @@
 // events); production traffic is late, duplicated, and malformed. The
 // engine therefore admits input through an *ingest policy*:
 //
-//  - kStrict  — the paper's contract: any disorder or malformed event makes
-//    Run return a descriptive error Status before any state is mutated.
-//  - kDrop    — events older than the newest admitted time stamp are
-//    deterministically dropped and quarantined (reason kOutOfOrder).
+//  - kStrict  — the paper's contract: any disorder (within the batch, or
+//    behind the last tick an earlier Run processed) or malformed event
+//    makes Run return a descriptive error Status before any state is
+//    mutated.
 //  - kReorder — a bounded, watermark-driven reorder buffer re-sequences
 //    events late by at most `reorder_slack` ticks; events later than that
-//    are dropped and quarantined (reason kLateBeyondSlack).
+//    are dropped and quarantined (reason kLateBeyondSlack). At slack 0
+//    nothing is re-sequenced: every event older than the newest admitted
+//    time stamp is dropped, and equal time stays admissible.
 //
 // Watermark semantics (kReorder): after admitting an event at time t the
 // buffer's high-water mark is max_seen = max over admitted times, and the
@@ -26,10 +28,11 @@
 // anything already emitted is late no matter when it arrives.
 //
 // Malformed events (unknown type id, negative occurrence time, inverted
-// occurrence interval) never reach the scheduler under kDrop/kReorder;
-// they are diverted to a bounded per-partition *quarantine* (dead-letter)
-// sink together with their rejection reason. Counters are exact even when
-// the sink's event storage is full; see QuarantineSink.
+// occurrence interval, values that do not fit the type's schema) never
+// reach the scheduler under kReorder; they are diverted to a bounded
+// per-partition *quarantine* (dead-letter) sink together with their
+// rejection reason. Counters are exact even when the sink's event storage
+// is full; see QuarantineSink.
 
 #ifndef CAESAR_RUNTIME_INGEST_H_
 #define CAESAR_RUNTIME_INGEST_H_
@@ -51,25 +54,24 @@ class StateReader;
 // How Engine::Run treats disorder and malformed events in its input.
 enum class IngestPolicy : int8_t {
   kStrict = 0,  // reject the batch with a Status (no state mutated)
-  kDrop,        // drop events older than the newest admitted time stamp
   kReorder,     // re-sequence within `reorder_slack`, drop the rest
 };
 
-// Human-readable policy name ("strict", "drop", "reorder").
+// Human-readable policy name ("strict", "reorder").
 const char* IngestPolicyName(IngestPolicy policy);
 
 // Why an event was quarantined instead of processed.
 enum class QuarantineReason : int8_t {
-  kOutOfOrder = 0,    // kDrop: older than the newest admitted time stamp
-  kLateBeyondSlack,   // kReorder: late by more than the slack
-  kUnknownType,       // type id not present in the registry
-  kNegativeTime,      // occurrence time before the epoch (time() < 0)
-  kInvertedInterval,  // complex event with end_time() < start_time()
+  kLateBeyondSlack = 0,  // late by more than the reorder slack
+  kUnknownType,          // type id not present in the registry
+  kNegativeTime,         // occurrence time before the epoch (time() < 0)
+  kInvertedInterval,     // complex event with end_time() < start_time()
+  kSchemaMismatch,       // value count or a value's kind misfits the schema
 };
 
 inline constexpr int kNumQuarantineReasons = 5;
 
-// Human-readable reason name ("out_of_order", "late_beyond_slack", ...).
+// Human-readable reason name ("late_beyond_slack", "unknown_type", ...).
 // The names are part of the metrics-export schema; diagnostics instead
 // carry the stable I4xx code below, so the two vocabularies can evolve
 // independently of the golden files.
@@ -85,9 +87,12 @@ DiagCode QuarantineDiagCode(QuarantineReason reason);
 // e.g. for an unknown type).
 struct QuarantineEntry {
   EventPtr event;
-  QuarantineReason reason = QuarantineReason::kOutOfOrder;
+  QuarantineReason reason = QuarantineReason::kLateBeyondSlack;
   uint64_t partition_key = 0;
 };
+
+// How many quarantined events the engine's sink retains in full.
+inline constexpr size_t kQuarantineCapacity = 1024;
 
 // Bounded dead-letter sink. Stores up to `capacity` full entries (the
 // head of the quarantine stream, for inspection and replay); counters per
@@ -201,7 +206,7 @@ class ReorderBuffer {
 struct IngestMetrics {
   int64_t admitted = 0;        // events handed to the scheduler
   int64_t reordered = 0;       // admitted out of arrival order (kReorder)
-  int64_t dropped_late = 0;    // quarantined as kOutOfOrder/kLateBeyondSlack
+  int64_t dropped_late = 0;    // quarantined as kLateBeyondSlack
   int64_t quarantined = 0;     // all quarantined events (late + malformed)
   Timestamp max_observed_lateness = 0;  // over all late arrivals, any fate
 };

@@ -287,6 +287,9 @@ struct TimelinePoint {
   }
 };
 
+// Points (ticks) the engine's activity timeline retains.
+inline constexpr size_t kTimelineCapacity = 512;
+
 // Bounded ring buffer of the most recent timeline points. Scheduler thread
 // only. Dropped (overwritten) points stay counted in total_pushed().
 class Timeline {

@@ -9,7 +9,10 @@
 //    "reorder_slack":3,"metrics":"operator","max_pending_events":4096,
 //    "push_down":true,"push_predicates":true,"default_within":60}}
 //                                        pattern_engine is "interpreted"
-//                                        (default) or "compiled"
+//                                        (default) or "compiled"; ingest
+//                                        is "strict" (default) or
+//                                        "reorder" (slack 0 drops every
+//                                        event behind the newest time)
 //   {"cmd":"ingest","tenant":"t1","events":[["Tick",3,[1,7,0]], ...]}
 //   {"cmd":"flush","tenant":"t1"}        drain everything incl. the open tick
 //   {"cmd":"poll","tenant":"t1"}         collect outputs without draining

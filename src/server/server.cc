@@ -32,8 +32,6 @@ bool ValidTenantName(const std::string& name) {
 bool ParseIngestPolicyName(const std::string& name, IngestPolicy* out) {
   if (name == "strict") {
     *out = IngestPolicy::kStrict;
-  } else if (name == "drop") {
-    *out = IngestPolicy::kDrop;
   } else if (name == "reorder") {
     *out = IngestPolicy::kReorder;
   } else {
@@ -64,7 +62,7 @@ Status ParseSessionConfig(const JsonValue* opts,
       if (!value.is_string() ||
           !ParseIngestPolicyName(value.string_value(), &out->ingest_policy)) {
         return Status::InvalidArgument(
-            "ingest must be \"strict\", \"drop\", or \"reorder\"");
+            "ingest must be \"strict\" or \"reorder\"");
       }
     } else if (key == "reorder_slack") {
       if (!value.is_int() || value.int_value() < 0) {

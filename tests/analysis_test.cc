@@ -295,8 +295,6 @@ TEST(EngineAnalysisTest, CleanModelHasNoRetainedDiagnostics) {
 // ---- Ingest / IO code sharing (I4xx) ----------------------------------
 
 TEST(DiagnosticsTest, QuarantineReasonsMapOntoI4xxCodes) {
-  EXPECT_EQ(QuarantineDiagCode(QuarantineReason::kOutOfOrder),
-            DiagCode::kI401OutOfOrder);
   EXPECT_EQ(QuarantineDiagCode(QuarantineReason::kLateBeyondSlack),
             DiagCode::kI402LateBeyondSlack);
   EXPECT_EQ(QuarantineDiagCode(QuarantineReason::kUnknownType),
@@ -305,6 +303,8 @@ TEST(DiagnosticsTest, QuarantineReasonsMapOntoI4xxCodes) {
             DiagCode::kI404NegativeTime);
   EXPECT_EQ(QuarantineDiagCode(QuarantineReason::kInvertedInterval),
             DiagCode::kI405InvertedInterval);
+  EXPECT_EQ(QuarantineDiagCode(QuarantineReason::kSchemaMismatch),
+            DiagCode::kI407SchemaMismatch);
   EXPECT_STREQ(DiagCodeName(DiagCode::kI403UnknownType), "I403");
 }
 

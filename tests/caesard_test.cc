@@ -261,21 +261,21 @@ TEST(CaesardMultiTenant, InterleavedTenantsMatchSoloRunsBitForBit) {
 
   // Tenant A: clean stream, strict policy, interpreted engine.
   // Tenant B: the same stream with fault-injected garbage (unknown types
-  // and negative times), drop policy so the engine quarantines instead of
-  // rejecting, compiled engine. Separate connections, interleaved chunks.
+  // and negative times), reorder policy at slack 0 so the engine
+  // quarantines instead of rejecting, compiled engine. Separate connections, interleaved chunks.
   Client client_a(daemon.port());
   Client client_b(daemon.port());
   ASSERT_TRUE(client_a.connected() && client_b.connected());
 
   auto reg_a = client_a.Call(RegisterReq("alpha", "interpreted"));
   ASSERT_TRUE(reg_a.ok() && IsOk(reg_a.value()));
-  auto reg_b = client_b.Call(RegisterReq("beta", "compiled", "drop"));
+  auto reg_b = client_b.Call(RegisterReq("beta", "compiled", "reorder"));
   ASSERT_TRUE(reg_b.ok() && IsOk(reg_b.value()));
 
   Reference ref_a =
       Reference::Build("alpha", PatternEngine::kInterpreted, 2);
   Reference ref_b = Reference::Build("beta", PatternEngine::kCompiled, 2,
-                                     IngestPolicy::kDrop);
+                                     IngestPolicy::kReorder);
   ASSERT_NE(ref_a.engine, nullptr);
   ASSERT_NE(ref_b.engine, nullptr);
 
@@ -489,6 +489,10 @@ TEST(CaesardProtocol, LifecycleAndCodedErrors) {
   }
   // The option alone picks the pattern matcher: "auto" is not a value.
   EXPECT_EQ(ErrorCode(client.Call(RegisterReq("t2", "auto")).value()),
+            "I423");
+  // Drop is reorder at slack 0: "drop" is not an ingest policy.
+  EXPECT_EQ(ErrorCode(
+                client.Call(RegisterReq("t2", "interpreted", "drop")).value()),
             "I423");
 
   // Teardown frees the name for re-registration.

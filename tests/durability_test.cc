@@ -739,6 +739,69 @@ TEST(EngineDurabilityTest, FreshEngineInUsedDirectoryKeepsSequencing) {
   }
 }
 
+TEST(EngineDurabilityTest, PreviousSnapshotVersionIsRefusedWithDataLoss) {
+  // Commit snapshot version 1 carried the retired drop policy's high-water
+  // mark and numbered the quarantine reasons differently: recovery must
+  // refuse it rather than misread its reason counts.
+  auto w = MakeWorkload();
+  std::vector<EventBatch> batches = SplitByTicks(w->stream, 40);
+  EngineOptions options;
+  options.durability.mode = DurabilityMode::kWal;
+  options.durability.dir = ScratchDir("snapshot_live");
+  {
+    Engine engine(w->plan.Clone(), options);
+    ASSERT_TRUE(engine.Run(batches[0], nullptr).ok());
+  }
+  auto scan = ScanWal(options.durability.dir, 0, 0);
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  ASSERT_EQ(scan.value().batches.size(), 1u);
+  const WalBatch& batch = scan.value().batches[0];
+  const std::string& current = batch.snapshot;
+  ASSERT_EQ(current[0], 2);  // the version byte
+
+  // Version 1: the version byte, the same five ingest counters, then the
+  // drop mark (bool + i64) ahead of the rest.
+  constexpr size_t kCountersEnd = 1 + 5 * 8;
+  StateWriter drop_mark;
+  drop_mark.Bool(false);
+  drop_mark.I64(0);
+  const std::string previous = std::string(1, '\x01') +
+                               current.substr(1, kCountersEnd - 1) +
+                               drop_mark.data() +
+                               current.substr(kCountersEnd);
+
+  // Rewrites the batch into a fresh log with the given snapshot and
+  // recovers from it.
+  auto recover_with = [&](const std::string& snapshot) {
+    EngineOptions recover_options = options;
+    recover_options.durability.dir = ScratchDir("snapshot_rewritten");
+    DurabilityCounters counters;
+    auto writer = WalWriter::Open(recover_options.durability, 1, &counters);
+    EXPECT_TRUE(writer.ok()) << writer.status();
+    for (const auto& [tick, events] : batch.ticks) {
+      EXPECT_TRUE(writer.value()
+                      ->Append(EncodeTickRecord(batch.batch_seq, tick,
+                                                events.data(), events.size()),
+                               "wal_append")
+                      .ok());
+    }
+    EXPECT_TRUE(writer.value()
+                    ->Append(EncodeCommitRecord(batch.batch_seq, snapshot),
+                             "wal_commit")
+                    .ok());
+    writer.value().reset();
+    return Engine::Recover(w->plan.Clone(), recover_options);
+  };
+  auto same = recover_with(current);
+  EXPECT_TRUE(same.ok()) << same.status();
+  auto old = recover_with(previous);
+  ASSERT_FALSE(old.ok());
+  EXPECT_EQ(old.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(old.status().message().find("snapshot version 1"),
+            std::string::npos)
+      << old.status();
+}
+
 TEST(EngineDurabilityTest, RecoverRequiresDurabilityOn) {
   auto w = MakeWorkload();
   EngineOptions options;  // kOff

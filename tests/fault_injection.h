@@ -26,6 +26,7 @@
 #include "common/rng.h"
 #include "durability/durability.h"
 #include "event/event.h"
+#include "event/schema.h"
 
 namespace caesar {
 namespace testing {
@@ -128,6 +129,43 @@ class FaultInjector {
     return Map(stream, p, [&](const Event& event) {
       return MakeComplexEvent(event.type_id(), event.time() + 1,
                               event.time(), event.values());
+    });
+  }
+
+  // Breaks the fit of values to the type's schema with probability p
+  // (quarantined as kSchemaMismatch): half the time the value count is off
+  // by one (the last value removed, or one appended when there is none),
+  // otherwise one value gets the wrong kind — a string in a numeric
+  // attribute, an int in a string one (an untyped attribute takes any
+  // value, so it gets one value too many instead). `registry` must know
+  // every type in `stream`.
+  EventBatch CorruptSchemas(const EventBatch& stream, double p,
+                            const TypeRegistry& registry) {
+    return Map(stream, p, [&](const Event& event) -> EventPtr {
+      std::vector<Value> values = event.values();
+      const Schema& schema = registry.type(event.type_id()).schema;
+      if (values.empty()) {
+        values.emplace_back(int64_t{0});
+      } else if (rng_.Bernoulli(0.5)) {
+        values.pop_back();
+      } else {
+        const int k = static_cast<int>(
+            rng_.Uniform(0, static_cast<int64_t>(values.size()) - 1));
+        switch (schema.attribute(k).type) {
+          case ValueType::kString:
+            values[k] = Value(int64_t{7});
+            break;
+          case ValueType::kInt:
+          case ValueType::kDouble:
+            values[k] = Value("corrupt");
+            break;
+          case ValueType::kNull:
+            values.emplace_back(int64_t{0});
+            break;
+        }
+      }
+      return MakeComplexEvent(event.type_id(), event.start_time(),
+                              event.end_time(), std::move(values));
     });
   }
 

@@ -3,9 +3,9 @@
 // stream perturbed by bounded per-tick delay, replayed under
 // IngestPolicy::kReorder with reorder_slack >= the injected delay, derives
 // a byte-identical output sequence to the pristine stream under kStrict —
-// at 1, 2, 4 and 8 worker threads. Drop and quarantine behavior is
-// deterministic: counters match a replicated reference computation and are
-// identical across thread counts.
+// at 1, 2, 4 and 8 worker threads. Drop (reorder at slack 0) and
+// quarantine behavior is deterministic: counters match a replicated
+// reference computation and are identical across thread counts.
 
 #include "fault_injection.h"
 
@@ -109,8 +109,9 @@ void ExpectReorderRestoresStrictOutput(const ExecutablePlan& plan,
   }
 }
 
-// Drop policy under arbitrary local shuffles: survival is the running-max
-// rule, replicated here event by event; every thread count agrees.
+// Reorder at slack 0 under arbitrary local shuffles: survival is the
+// running-max rule, replicated here event by event; every thread count
+// agrees.
 void ExpectDropPolicyIsDeterministic(const ExecutablePlan& plan,
                                      const EventBatch& pristine,
                                      const TypeRegistry& registry) {
@@ -141,14 +142,15 @@ void ExpectDropPolicyIsDeterministic(const ExecutablePlan& plan,
     SCOPED_TRACE("threads=" + std::to_string(num_threads));
     EngineOptions options;
     options.num_threads = num_threads;
-    options.ingest_policy = IngestPolicy::kDrop;
+    options.ingest_policy = IngestPolicy::kReorder;
+    options.reorder_slack = 0;
     std::unique_ptr<Engine> engine;
     RunResult result = RunWith(plan, shuffled, registry, options, &engine);
 
     EXPECT_EQ(result.stats.events_dropped_late, expected_drops);
     EXPECT_EQ(result.stats.events_quarantined, expected_drops);
     EXPECT_EQ(result.stats.max_observed_lateness, expected_max_lateness);
-    EXPECT_EQ(engine->quarantine().count(QuarantineReason::kOutOfOrder),
+    EXPECT_EQ(engine->quarantine().count(QuarantineReason::kLateBeyondSlack),
               expected_drops);
     if (num_threads == 1) {
       reference = result;
@@ -166,12 +168,29 @@ void ExpectQuarantineCountsAreDeterministic(const ExecutablePlan& plan,
                                             const TypeRegistry& registry) {
   FaultInjector injector(kSeed + 2);
   TypeId bad_type = static_cast<TypeId>(registry.num_types()) + 7;
-  EventBatch corrupted = injector.CorruptTypes(pristine, 0.03, bad_type);
+  EventBatch corrupted = injector.CorruptSchemas(pristine, 0.03, registry);
+  corrupted = injector.CorruptTypes(corrupted, 0.03, bad_type);
   corrupted = injector.CorruptTimes(corrupted, 0.03);
   corrupted = injector.CorruptIntervals(corrupted, 0.03);
 
   // Replicate ClassifyMalformed's precedence: unknown type, then negative
-  // time, then inverted interval.
+  // time, then inverted interval, then values that misfit the schema (the
+  // wire's rule: null fits anything, an int fits a double attribute, an
+  // untyped attribute takes any value).
+  auto fits_schema = [&](const Event& event) {
+    const Schema& schema = registry.type(event.type_id()).schema;
+    if (event.num_values() != schema.num_attributes()) return false;
+    for (int k = 0; k < event.num_values(); ++k) {
+      ValueType have = event.value(k).type();
+      ValueType want = schema.attribute(k).type;
+      if (have != want && have != ValueType::kNull &&
+          want != ValueType::kNull &&
+          !(have == ValueType::kInt && want == ValueType::kDouble)) {
+        return false;
+      }
+    }
+    return true;
+  };
   int64_t expected[kNumQuarantineReasons] = {};
   for (const EventPtr& event : corrupted) {
     if (event->type_id() < 0 ||
@@ -181,23 +200,26 @@ void ExpectQuarantineCountsAreDeterministic(const ExecutablePlan& plan,
       ++expected[static_cast<int>(QuarantineReason::kNegativeTime)];
     } else if (event->end_time() < event->start_time()) {
       ++expected[static_cast<int>(QuarantineReason::kInvertedInterval)];
+    } else if (!fits_schema(*event)) {
+      ++expected[static_cast<int>(QuarantineReason::kSchemaMismatch)];
     }
   }
-  int64_t expected_total =
-      expected[static_cast<int>(QuarantineReason::kUnknownType)] +
-      expected[static_cast<int>(QuarantineReason::kNegativeTime)] +
-      expected[static_cast<int>(QuarantineReason::kInvertedInterval)];
-  ASSERT_GT(expected[static_cast<int>(QuarantineReason::kUnknownType)], 0);
-  ASSERT_GT(expected[static_cast<int>(QuarantineReason::kNegativeTime)], 0);
-  ASSERT_GT(expected[static_cast<int>(QuarantineReason::kInvertedInterval)],
-            0);
+  int64_t expected_total = 0;
+  for (QuarantineReason reason :
+       {QuarantineReason::kUnknownType, QuarantineReason::kNegativeTime,
+        QuarantineReason::kInvertedInterval,
+        QuarantineReason::kSchemaMismatch}) {
+    ASSERT_GT(expected[static_cast<int>(reason)], 0)
+        << QuarantineReasonName(reason);
+    expected_total += expected[static_cast<int>(reason)];
+  }
 
   RunResult reference;
   for (int num_threads : {1, 2, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(num_threads));
     EngineOptions options;
     options.num_threads = num_threads;
-    options.ingest_policy = IngestPolicy::kDrop;
+    options.ingest_policy = IngestPolicy::kReorder;
     std::unique_ptr<Engine> engine;
     RunResult result = RunWith(plan, corrupted, registry, options, &engine);
 

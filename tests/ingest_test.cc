@@ -1,6 +1,7 @@
 // Unit tests of the graceful-degradation ingest layer: the watermark-driven
 // ReorderBuffer, the bounded QuarantineSink, EngineOptions validation, and
-// the engine-level drop/reorder/strict policies on a mini model.
+// the engine-level strict/reorder policies on a mini model (reorder at
+// slack 0 is the drop-everything-late rule).
 
 #include <gtest/gtest.h>
 
@@ -125,11 +126,12 @@ TEST(ReorderBufferTest, EmissionIsMonotoneUnderHeavyDisorder) {
 TEST(QuarantineSinkTest, CountersStayExactPastCapacity) {
   QuarantineSink sink(/*capacity=*/2);
   for (int i = 0; i < 5; ++i) {
-    sink.Add(At(i), QuarantineReason::kOutOfOrder, /*partition_key=*/i % 2);
+    sink.Add(At(i), QuarantineReason::kLateBeyondSlack,
+             /*partition_key=*/i % 2);
   }
   sink.Add(At(99), QuarantineReason::kUnknownType, /*partition_key=*/0);
   EXPECT_EQ(sink.total(), 6);
-  EXPECT_EQ(sink.count(QuarantineReason::kOutOfOrder), 5);
+  EXPECT_EQ(sink.count(QuarantineReason::kLateBeyondSlack), 5);
   EXPECT_EQ(sink.count(QuarantineReason::kUnknownType), 1);
   EXPECT_EQ(sink.count(QuarantineReason::kNegativeTime), 0);
   ASSERT_EQ(sink.entries().size(), 2u);  // only the head is retained
@@ -186,6 +188,18 @@ DERIVE Echo(r.seg AS seg, r.value AS value)
 PATTERN Reading r;
 )";
 
+// The echo with a numeric comparison: a value of the wrong kind reaching
+// the WHERE would abort the process in Value::Compare.
+constexpr char kHotModel[] = R"(
+CONTEXTS only;
+PARTITION BY seg;
+
+QUERY hot
+DERIVE Hot(r.seg AS seg, r.value AS value)
+PATTERN Reading r
+WHERE r.value > 90;
+)";
+
 class IngestEngineTest : public ::testing::Test {
  protected:
   IngestEngineTest() {
@@ -193,8 +207,8 @@ class IngestEngineTest : public ::testing::Test {
                                                    {"value", ValueType::kInt}});
   }
 
-  ExecutablePlan Plan() {
-    auto model = ParseModel(kMiniModel, &registry_);
+  ExecutablePlan Plan(const char* model_text = kMiniModel) {
+    auto model = ParseModel(model_text, &registry_);
     EXPECT_TRUE(model.ok()) << model.status();
     auto plan = TranslateModel(model.value(), PlanOptions());
     EXPECT_TRUE(plan.ok()) << plan.status();
@@ -271,9 +285,81 @@ TEST_F(IngestEngineTest, StrictPolicyReturnsStatusOnMalformedEvent) {
       << run.status();
 }
 
-TEST_F(IngestEngineTest, DropPolicyKeepsRunningMaxAndQuarantinesTheRest) {
+TEST_F(IngestEngineTest, StrictPolicyRejectsTimeRegressionAcrossRuns) {
+  Engine engine(Plan(), EngineOptions());
+  EventBatch outputs;
+  ASSERT_TRUE(engine.Run({Reading(1, 1, 10)}, &outputs).ok());
+
+  // Each batch is ordered on its own, but t = 5 falls behind the tick an
+  // earlier Run already processed.
+  auto run = engine.Run({Reading(1, 2, 5), Reading(1, 3, 12)}, &outputs);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(run.status().message().find("not time-ordered at index 0"),
+            std::string::npos)
+      << run.status();
+  EXPECT_NE(run.status().message().find("high-water mark 10"),
+            std::string::npos)
+      << run.status();
+  EXPECT_EQ(engine.ingest_metrics().admitted, 1);  // nothing mutated
+  EXPECT_EQ(Echoed(outputs), "10:1 ");
+
+  // Equal time stays admissible (a flushed tick may reopen), and so does
+  // everything after it.
+  ASSERT_TRUE(engine.Run({Reading(1, 4, 10), Reading(1, 5, 12)}, &outputs)
+                  .ok());
+  EXPECT_EQ(Echoed(outputs), "10:1 10:4 12:5 ");
+  EXPECT_EQ(engine.quarantine().total(), 0);
+}
+
+TEST_F(IngestEngineTest, SchemaMismatchIsRefusedOrQuarantined) {
+  auto hot = [&](Timestamp t, Value value) {
+    return MakeEvent(reading_, t, {Value(int64_t{1}), std::move(value)});
+  };
+  EventBatch input = {
+      hot(0, Value(int64_t{95})),
+      hot(1, Value("hot")),                              // string in an int
+      MakeEvent(reading_, 1, {Value(int64_t{1})}),       // one value short
+      hot(2, Value(97.5)),                               // double in an int
+      MakeEvent(reading_, 2, {Value(int64_t{1}), Value(int64_t{99}),
+                              Value(int64_t{0})}),       // one value extra
+      hot(3, Value()),                                   // null fits
+      hot(4, Value(int64_t{99})),
+  };
+
+  Engine strict(Plan(kHotModel), EngineOptions());
+  auto rejected = strict.Run(input);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find(
+                "malformed event at index 1 (schema_mismatch, I407)"),
+            std::string::npos)
+      << rejected.status();
+  EXPECT_EQ(strict.ingest_metrics().admitted, 0);
+
   EngineOptions options;
-  options.ingest_policy = IngestPolicy::kDrop;
+  options.ingest_policy = IngestPolicy::kReorder;
+  Engine engine(Plan(kHotModel), options);
+  EventBatch outputs;
+  RunStats stats = engine.Run(input, &outputs).value();
+  EXPECT_EQ(Echoed(outputs), "0:95 4:99 ");
+  EXPECT_EQ(stats.events_quarantined, 4);
+  EXPECT_EQ(stats.events_dropped_late, 0);
+  const QuarantineSink& sink = engine.quarantine();
+  EXPECT_EQ(sink.count(QuarantineReason::kSchemaMismatch), 4);
+  ASSERT_EQ(sink.entries().size(), 4u);
+  for (const QuarantineEntry& entry : sink.entries()) {
+    EXPECT_EQ(entry.reason, QuarantineReason::kSchemaMismatch);
+    EXPECT_EQ(entry.partition_key, 0u);  // its values cannot be trusted
+  }
+}
+
+TEST_F(IngestEngineTest, DropPolicyKeepsRunningMaxAndQuarantinesTheRest) {
+  // Reorder at slack 0 re-sequences nothing: it keeps the running maximum
+  // and drops every event older than it.
+  EngineOptions options;
+  options.ingest_policy = IngestPolicy::kReorder;
+  options.reorder_slack = 0;
   Engine engine(Plan(), options);
   EventBatch outputs;
   // t = 3 is older than the admitted high-water mark 5 -> dropped; the
@@ -288,7 +374,7 @@ TEST_F(IngestEngineTest, DropPolicyKeepsRunningMaxAndQuarantinesTheRest) {
   EXPECT_EQ(stats.events_quarantined, 1);
   EXPECT_EQ(stats.events_reordered, 0);
   EXPECT_EQ(stats.max_observed_lateness, 2);  // 5 - 3
-  EXPECT_EQ(engine.quarantine().count(QuarantineReason::kOutOfOrder), 1);
+  EXPECT_EQ(engine.quarantine().count(QuarantineReason::kLateBeyondSlack), 1);
   ASSERT_EQ(engine.quarantine().entries().size(), 1u);
   EXPECT_EQ(engine.quarantine().entries()[0].event->value(1).AsInt(), 3);
 
@@ -327,7 +413,7 @@ TEST_F(IngestEngineTest, ReorderPolicyResequencesWithinSlack) {
 
 TEST_F(IngestEngineTest, MalformedEventsAreQuarantinedWithReasons) {
   EngineOptions options;
-  options.ingest_policy = IngestPolicy::kDrop;
+  options.ingest_policy = IngestPolicy::kReorder;
   Engine engine(Plan(), options);
   EventBatch outputs;
   EventBatch input = {
@@ -361,7 +447,7 @@ TEST_F(IngestEngineTest, MalformedEventsAreQuarantinedWithReasons) {
 
 TEST_F(IngestEngineTest, RunStatsToStringMentionsDegradation) {
   EngineOptions options;
-  options.ingest_policy = IngestPolicy::kDrop;
+  options.ingest_policy = IngestPolicy::kReorder;
   Engine engine(Plan(), options);
   RunStats stats =
       engine.Run({Reading(1, 1, 5), Reading(1, 2, 3)}).value();
@@ -372,10 +458,7 @@ TEST_F(IngestEngineTest, RunStatsToStringMentionsDegradation) {
 
 TEST(IngestNamesTest, PolicyAndReasonNamesAreStable) {
   EXPECT_STREQ(IngestPolicyName(IngestPolicy::kStrict), "strict");
-  EXPECT_STREQ(IngestPolicyName(IngestPolicy::kDrop), "drop");
   EXPECT_STREQ(IngestPolicyName(IngestPolicy::kReorder), "reorder");
-  EXPECT_STREQ(QuarantineReasonName(QuarantineReason::kOutOfOrder),
-               "out_of_order");
   EXPECT_STREQ(QuarantineReasonName(QuarantineReason::kLateBeyondSlack),
                "late_beyond_slack");
   EXPECT_STREQ(QuarantineReasonName(QuarantineReason::kUnknownType),
@@ -384,6 +467,8 @@ TEST(IngestNamesTest, PolicyAndReasonNamesAreStable) {
                "negative_time");
   EXPECT_STREQ(QuarantineReasonName(QuarantineReason::kInvertedInterval),
                "inverted_interval");
+  EXPECT_STREQ(QuarantineReasonName(QuarantineReason::kSchemaMismatch),
+               "schema_mismatch");
 }
 
 }  // namespace

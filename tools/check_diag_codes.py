@@ -36,12 +36,12 @@ EXEMPT = {
     "P301": "needs > context-bitvector-width contexts; corpus keeps "
             "fixtures human-readable (covered by analysis_test)",
     "P304": "catch-all for translator failures with no stable message",
-    "I401": "runtime ingest quarantine code (fault-injection suite)",
     "I402": "runtime ingest quarantine code (fault-injection suite)",
     "I403": "runtime ingest quarantine code (fault-injection suite)",
     "I404": "runtime ingest quarantine code (fault-injection suite)",
     "I405": "runtime ingest quarantine code (fault-injection suite)",
     "I406": "runtime ingest quarantine code (fault-injection suite)",
+    "I407": "runtime ingest quarantine code (fault-injection suite)",
     "I420": "server backpressure code (caesard_test)",
     "I421": "server unknown-tenant code (caesard_test)",
     "I422": "server duplicate-tenant code (caesard_test)",
