@@ -12,12 +12,12 @@
 //    BOTH scheduler modes at every thread count. This is the scheduler
 //    A/B: static pinning leaves the hot partition's worker saturated while
 //    the rest idle at the barrier; work stealing spreads the queue. The
-//    --skew-out JSON records the comparison for BENCH_baseline.json; the
+//    --skew-out JSON records the comparison, and CI's bench-smoke job
+//    gates each run's file with tools/check_metrics_schema.py: the
 //    per-tick imbalance and steal counters are the hardware-independent
-//    gate signal (see tools/check_metrics_schema.py) — wall-clock speedup
-//    from stealing additionally needs real hardware parallelism, so the
-//    throughput gate applies only when hardware_threads >= 2 at recording
-//    time.
+//    signal — wall-clock speedup from stealing additionally needs real
+//    hardware parallelism, so the throughput gate applies only when
+//    hardware_threads >= 2 at recording time.
 //
 // Derived-event counts are checked to be identical across all thread
 // counts and scheduler modes (the determinism guarantee).

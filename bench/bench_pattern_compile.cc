@@ -14,11 +14,16 @@
 // guarantee lives in the differential harness and
 // parallel_determinism_test).
 //
-// --ablation-out writes the per-depth comparison as a JSON array, which
-// tools/update_bench_baseline.py folds into BENCH_baseline.json.
+// --ablation-out writes the per-depth comparison as a self-describing JSON
+// object ({benchmark, ablation_schema_version, hardware_threads, rows}).
+// tools/check_metrics_schema.py gates it: at depth >= 2 the compiled engine
+// must win on CPU time and do less operator work. CI's bench-smoke job runs
+// it at the default size (--duration=400 --repetitions=3): a single short
+// repetition makes the CPU-time ratio too noisy to gate on.
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -102,7 +107,9 @@ void WriteAblation(const std::string& path,
     std::fprintf(stderr, "cannot open --ablation-out file %s\n", path.c_str());
     std::exit(1);
   }
-  out << "[\n";
+  out << "{\"benchmark\": \"bench_pattern_compile\", "
+         "\"ablation_schema_version\": 1, \"hardware_threads\": "
+      << std::thread::hardware_concurrency() << ", \"rows\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const AblationRow& row = rows[i];
     char buffer[256];
@@ -118,7 +125,7 @@ void WriteAblation(const std::string& path,
                   row.speedup, i + 1 < rows.size() ? "," : "");
     out << buffer;
   }
-  out << "]\n";
+  out << "]}\n";
 }
 
 int Main(int argc, char** argv) {

@@ -32,20 +32,14 @@ enum class DurabilityMode : int8_t {
 };
 
 const char* DurabilityModeName(DurabilityMode mode);
-// Parses "off" / "wal" / "wal+checkpoint"; false on anything else.
-bool ParseDurabilityMode(const std::string& name, DurabilityMode* out);
 
-// When the WAL is flushed to stable storage. Group commit is the default:
-// one fsync per Run batch bounds the loss window to one uncommitted batch
-// without paying a sync per record.
+// When the WAL is flushed to stable storage. Recovery replays only tick
+// records sealed by a commit record, so the commit record is the one sync
+// point that makes anything durable: there is no per-record policy.
 enum class FsyncPolicy : int8_t {
   kNone = 0,  // rely on the page cache (process-crash durable only)
-  kBatch,     // fsync once per committed Run batch
-  kAlways,    // fsync after every record
+  kBatch,     // fsync once per committed Run batch (group commit)
 };
-
-const char* FsyncPolicyName(FsyncPolicy policy);
-bool ParseFsyncPolicy(const std::string& name, FsyncPolicy* out);
 
 // Test-only crash injection: invoked at named points of the write path
 // ("wal_append", "wal_commit", "checkpoint_write", "checkpoint_publish").

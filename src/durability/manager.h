@@ -51,8 +51,8 @@ class DurabilityManager {
       Timestamp last_checkpoint_tick, int64_t replayed_events);
 
   // WAL-append of one tick's admitted events (write-ahead: called before
-  // the tick is processed). Fails under kAlways fsync errors or an armed
-  // crash hook.
+  // the tick is processed). Fails on a write error or an armed crash
+  // hook.
   Status AppendTick(Timestamp t, const EventPtr* events, size_t n);
 
   // Seals the current Run batch with the engine's ingest snapshot and

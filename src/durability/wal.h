@@ -62,9 +62,10 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  // Writes one framed record; fsyncs under FsyncPolicy::kAlways. The crash
-  // hook is consulted with `crash_point` first — when it fires, a torn
-  // prefix of the record is left on disk and DataLoss is returned.
+  // Writes one framed record without syncing it: the commit record's Sync
+  // makes a batch durable. The crash hook is consulted with `crash_point`
+  // first — when it fires, a torn prefix of the record is left on disk and
+  // DataLoss is returned.
   Status Append(std::string_view payload, std::string_view crash_point);
 
   // fsync of the current segment (group commit under kBatch).

@@ -200,11 +200,13 @@ JsonValue RegisterReq(const std::string& tenant, const char* pattern_engine,
 // Differential matrix: engines x threads, socket vs batch, byte identical
 // ---------------------------------------------------------------------------
 
+// The engine name is a std::string so gtest prints it as text, not as a
+// pointer whose address would change the ctest name from build to build.
 class CaesardDifferential
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(CaesardDifferential, SocketMatchesBatchByteForByte) {
-  const char* engine_name = std::get<0>(GetParam());
+  const std::string& engine_name = std::get<0>(GetParam());
   const int workers = std::get<1>(GetParam());
   PatternEngine pattern = PatternEngine::kInterpreted;
   ASSERT_TRUE(ParsePatternEngine(engine_name, &pattern));
@@ -214,7 +216,7 @@ TEST_P(CaesardDifferential, SocketMatchesBatchByteForByte) {
   Client client(daemon.port());
   ASSERT_TRUE(client.connected());
 
-  auto registered = client.Call(RegisterReq("t1", engine_name));
+  auto registered = client.Call(RegisterReq("t1", engine_name.c_str()));
   ASSERT_TRUE(registered.ok() && IsOk(registered.value()))
       << (registered.ok() ? registered.value().Dump()
                           : registered.status().ToString());
@@ -244,10 +246,11 @@ TEST_P(CaesardDifferential, SocketMatchesBatchByteForByte) {
 
 INSTANTIATE_TEST_SUITE_P(
     EnginesAndThreads, CaesardDifferential,
-    ::testing::Combine(::testing::Values("interpreted", "compiled"),
+    ::testing::Combine(::testing::Values(std::string("interpreted"),
+                                         std::string("compiled")),
                        ::testing::Values(1, 2, 4)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_w" +
+      return std::get<0>(info.param) + "_w" +
              std::to_string(std::get<1>(info.param));
     });
 

@@ -830,12 +830,9 @@ TEST(EngineDurabilityTest, FsyncPolicyCountsSyncs) {
   };
   auto [none, none_records] = fsyncs_with(FsyncPolicy::kNone);
   auto [batch, batch_records] = fsyncs_with(FsyncPolicy::kBatch);
-  auto [always, always_records] = fsyncs_with(FsyncPolicy::kAlways);
   EXPECT_EQ(none, 0);
   EXPECT_EQ(batch, static_cast<int64_t>(batches.size()));
-  EXPECT_EQ(always, always_records);
   EXPECT_EQ(none_records, batch_records);
-  EXPECT_EQ(batch_records, always_records);
 }
 
 }  // namespace

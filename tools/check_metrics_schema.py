@@ -6,11 +6,13 @@ envelope {benchmark, schema_version, runs[]} and, for every run, the
 StatisticsReport JSON produced by StatisticsToJson: required keys, types,
 and internal consistency of the power-of-2 histogram blocks.
 
-Files carrying a top-level "baseline_version" key (BENCH_baseline.json,
-written by tools/update_bench_baseline.py) are validated as a baseline
-wrapper instead: every contained envelope is checked as above, and the
-pattern-compile ablation rows must show the compiled engine beating the
-interpreted one (speedup > 1 and fewer work units) at SEQ depth >= 2.
+The bench_durability envelope must also carry its off-control: at least
+one run with a durability block and at least one run without one.
+
+Files carrying a top-level "ablation_schema_version" key (--ablation-out
+from bench_pattern_compile) are validated as the pattern-engine ablation:
+the compiled engine must beat the interpreted one (speedup > 1 and fewer
+work units) at SEQ depth >= 2.
 
 Files carrying a top-level "skew_schema_version" key (--skew-out from
 bench_parallel_scaling --workload=skewed) are validated as the scheduler
@@ -269,50 +271,23 @@ def check_ablation(rows, where):
             )
 
 
-def check_baseline(doc):
-    for key in ("baseline_version", "generated", "benches"):
-        expect(key in doc, f"baseline missing '{key}'")
-    expect(doc["baseline_version"] == 1,
-           f"unknown baseline_version {doc['baseline_version']}")
-    expect(isinstance(doc["benches"], dict) and doc["benches"],
-           "'benches' must be a non-empty object")
-    runs = 0
-    for name, entry in doc["benches"].items():
-        expect(isinstance(entry, dict) and "envelope" in entry,
-               f"benches[{name}] must carry an 'envelope'")
-        envelope = entry["envelope"]
-        for key in ("benchmark", "schema_version", "runs"):
-            expect(key in envelope, f"benches[{name}] envelope missing '{key}'")
-        for i, run in enumerate(envelope["runs"]):
-            check_report(run["report"], f"benches[{name}] runs[{i}]")
-        runs += len(envelope["runs"])
-        if "ablation" in entry:
-            check_ablation(entry["ablation"], f"benches[{name}].ablation")
-        if "skew" in entry:
-            check_skew(entry["skew"])
-    expect("bench_parallel_scaling" in doc["benches"]
-           and "skew" in doc["benches"]["bench_parallel_scaling"],
-           "baseline must carry the bench_parallel_scaling skew comparison "
-           "(pinned vs stealing)")
-    expect("bench_pattern_compile" in doc["benches"]
-           and "ablation" in doc["benches"]["bench_pattern_compile"],
-           "baseline must carry the bench_pattern_compile ablation")
-    expect("bench_durability" in doc["benches"],
-           "baseline must carry bench_durability (WAL overhead vs off)")
-    durability_runs = doc["benches"]["bench_durability"]["envelope"]["runs"]
-    expect(any("durability" in run["report"] for run in durability_runs),
-           "bench_durability baseline has no run with a durability block")
-    expect(any("durability" not in run["report"] for run in durability_runs),
-           "bench_durability baseline has no durability-off control run")
-    return runs
+def check_ablation_file(doc):
+    """Validates an --ablation-out file from bench_pattern_compile."""
+    for key in ("benchmark", "ablation_schema_version", "hardware_threads",
+                "rows"):
+        expect(key in doc, f"ablation file missing '{key}'")
+    expect(doc["ablation_schema_version"] == 1,
+           f"unknown ablation_schema_version {doc['ablation_schema_version']}")
+    check_ablation(doc["rows"], "rows")
+    return len(doc["rows"])
 
 
 def check_file(path):
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     expect(isinstance(doc, dict), "top level must be an object")
-    if "baseline_version" in doc:
-        return check_baseline(doc)
+    if "ablation_schema_version" in doc:
+        return check_ablation_file(doc)
     if "skew_schema_version" in doc:
         return check_skew(doc)
     for key in ("benchmark", "schema_version", "runs"):
@@ -326,6 +301,13 @@ def check_file(path):
         expect(isinstance(run, dict) and "label" in run and "report" in run,
                f"runs[{i}] must be {{label, report}}")
         check_report(run["report"], f"runs[{i}] ({run.get('label')})")
+    if doc["benchmark"] == "bench_durability":
+        # WAL overhead is only readable against a durability-off run.
+        reports = [run["report"] for run in doc["runs"]]
+        expect(any("durability" in report for report in reports),
+               "bench_durability has no run with a durability block")
+        expect(any("durability" not in report for report in reports),
+               "bench_durability has no durability-off control run")
     return len(doc["runs"])
 
 
